@@ -131,6 +131,11 @@ accumulate(PhaseTotals &totals, const RunResult &result)
     }
 }
 
+/** Worker threads of every measured sweep. Fixed at one so the
+ *  wall time does not depend on the host's core count; the committed
+ *  baselines are recorded at "jobs": 1 too. */
+constexpr unsigned benchJobs = 1;
+
 /**
  * Run one scenario --repeat times and keep the fastest wall time
  * (the standard way to suppress scheduling noise on a shared
@@ -147,6 +152,7 @@ measure(const std::string &name, const Sweep &sweep, unsigned repeats)
     double best_ms = -1.0;
     for (unsigned r = 0; r < repeats; ++r) {
         SweepOptions options;
+        options.jobs = benchJobs;
         options.progress = false;
         PhaseTotals totals;
         options.onRunDone = [&totals](const RunRequest &,
@@ -242,7 +248,7 @@ main(int argc, char **argv)
 
     std::string json = "{\n  \"schema\": \"schedtask-bench-v1\",\n";
     char buf[64];
-    std::snprintf(buf, sizeof buf, "  \"jobs\": %u,\n", defaultJobs());
+    std::snprintf(buf, sizeof buf, "  \"jobs\": %u,\n", benchJobs);
     json += buf;
     json += "  \"scenarios\": [\n";
     for (std::size_t i = 0; i < scenarios.size(); ++i) {

@@ -55,20 +55,21 @@ Cache::insertAbsent(std::uint64_t base_index, Addr tag)
     // identically because insert() reorders but access() refreshes
     // only under Lru (see access()). The caller's hit scan just
     // touched the set, so this pass stays in the host's L1.
-    Way *victim = nullptr;
-    unsigned valid_count = 0;
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        if (!isValid(base[w])) {
-            if (victim == nullptr || isValid(*victim))
-                victim = &base[w];
-            continue;
-        }
-        ++valid_count;
-        if (victim == nullptr
-                || (isValid(*victim)
-                    && rankOf(base[w]) < rankOf(*victim)))
-            victim = &base[w];
+    //
+    // Both rules are one branch-free argmin over the packed
+    // [valid:1][rank:5] key, keeping the first index on ties: an
+    // invalid way's key is 0 (its rank is cleared), below every
+    // valid key, and valid ranks are distinct.
+    unsigned victim_way = 0;
+    std::uint64_t victim_key = base[0].raw >> rankShift;
+    unsigned valid_count = static_cast<unsigned>(base[0].raw >> validShift);
+    for (unsigned w = 1; w < params_.assoc; ++w) {
+        const std::uint64_t key = base[w].raw >> rankShift;
+        victim_way = key < victim_key ? w : victim_way;
+        victim_key = key < victim_key ? key : victim_key;
+        valid_count += static_cast<unsigned>(base[w].raw >> validShift);
     }
+    Way *victim = &base[victim_way];
     if (isValid(*victim)
             && params_.replacement == ReplacementPolicy::Random) {
         // 16-bit Galois LFSR: deterministic pseudo-random way.
@@ -105,10 +106,7 @@ bool
 Cache::containsSlow(Addr tag) const
 {
     const Way *base = &ways_[setIndexOfTag(tag) * params_.assoc];
-    for (unsigned w = 0; w < params_.assoc; ++w)
-        if (wayHits(base[w], tag))
-            return true;
-    return false;
+    return findWay(base, tag) != params_.assoc;
 }
 
 void

@@ -23,7 +23,16 @@
  *    valid bit on top — so a 4-way set is 32 bytes and the whole tag
  *    store of a simulated machine stays close to the host's private
  *    caches (the tag arrays are probed at random addresses, so their
- *    footprint is what the simulator's own miss paths pay for).
+ *    footprint is what the simulator's own miss paths pay for);
+ *  - a set probe branches once, not once per way. Which way holds a
+ *    tag is data-random, so an early-exit scan mispredicts on most
+ *    probes. findWay() instead tests every way with one masked
+ *    compare and selects the match without an exit; tags are unique
+ *    within a set (tagsUnique()), so it finds the same way the early
+ *    exit would. The fill victim is likewise a branch-free argmin
+ *    over each way's packed [valid:1][rank:5] key, first index on
+ *    ties: invalid ways have key 0, so the first invalid way wins,
+ *    else the valid way with the lowest rank (the LRU / oldest way).
  *
  * Recency is kept as a per-set permutation: the valid ways of a set
  * always carry distinct ranks 0..valid-1, oldest first. Touching a
@@ -137,28 +146,16 @@ class Cache
      * Exactly equivalent to accessTag(tag) followed on a miss by
      * insertTag(tag) — merging just avoids walking the set twice on
      * the fill path, which the hierarchy's miss walks sit on. The
-     * hit scan is the same inline loop as accessTag()'s, so probe
-     * -style callers pay nothing extra on hits.
+     * hit scan is accessTag()'s own inline scan, so probe-style
+     * callers pay nothing extra on hits.
      */
     std::optional<Addr>
     accessOrInsertTag(Addr tag, bool &hit)
     {
-        const std::uint64_t base_index =
-            setIndexOfTag(tag) * params_.assoc;
-        Way *base = &ways_[base_index];
-        for (unsigned w = 0; w < params_.assoc; ++w) {
-            if (wayHits(base[w], tag)) {
-                // Exactly an accessTag() hit. Fifo keeps the original
-                // insertion order (the block is not re-inserted).
-                hit = true;
-                if (lru_refresh_)
-                    touchWay(base, w);
-                mru_index_ = base_index + w;
-                return std::nullopt;
-            }
-        }
-        hit = false;
-        return insertAbsent(base_index, tag);
+        hit = accessSlow(tag);
+        if (hit)
+            return std::nullopt;
+        return insertAbsent(setIndexOfTag(tag) * params_.assoc, tag);
     }
 
     /** Probe without disturbing LRU state. */
@@ -184,21 +181,18 @@ class Cache
     {
         const Addr tag = tagOf(addr);
         Way *base = &ways_[setIndexOfTag(tag) * params_.assoc];
-        for (unsigned w = 0; w < params_.assoc; ++w) {
-            if (wayHits(base[w], tag)) {
-                // Drop the way from its set's recency order: ways
-                // above it slide down one rank, keeping the valid
-                // ranks a dense 0..valid-1 permutation. Branchless —
-                // invalid ways are rank 0 and never test as above.
-                const std::uint64_t rank = rankOf(base[w]);
-                for (unsigned v = 0; v < params_.assoc; ++v)
-                    base[v].raw -=
-                        std::uint64_t{rankOf(base[v]) > rank}
-                        << rankShift;
-                base[w].raw &= tagMask; // clears valid and rank
-                return;
-            }
-        }
+        const unsigned w = findWay(base, tag);
+        if (w == params_.assoc)
+            return;
+        // Drop the way from its set's recency order: ways above it
+        // slide down one rank, keeping the valid ranks a dense
+        // 0..valid-1 permutation. Branchless — invalid ways are rank
+        // 0 and never test as above.
+        const std::uint64_t rank = rankOf(base[w]);
+        for (unsigned v = 0; v < params_.assoc; ++v)
+            base[v].raw -=
+                std::uint64_t{rankOf(base[v]) > rank} << rankShift;
+        base[w].raw &= tagMask; // clears valid and rank
     }
 
     /** Invalidate every block. */
@@ -278,15 +272,27 @@ class Cache
         return (w.raw >> rankShift) & (maxAssoc - 1);
     }
 
-    /** Valid-hit test: tag bits equal and valid bit set. */
+    /** Valid-hit test: tag bits equal and valid bit set, as one
+     *  masked compare (the rank field is masked out). */
     static bool
     wayHits(const Way &w, Addr tag)
     {
-        // (raw ^ tag) has zero low bits iff the tags match; shifting
-        // out the rank and valid fields leaves that comparison, and
-        // the sign bit of raw is the valid bit.
-        return ((w.raw ^ tag) << (64 - rankShift)) == 0
-            && (w.raw & validBit) != 0;
+        return ((w.raw ^ (tag | validBit)) & (tagMask | validBit)) == 0;
+    }
+
+    /**
+     * Index of the way in the set at `base` holding `tag` valid, or
+     * assoc when none does. Scans every way with no early exit and
+     * selects the match: tags are unique within a set, so this is
+     * the way an early-exit scan finds, without its per-way branch.
+     */
+    unsigned
+    findWay(const Way *base, Addr tag) const
+    {
+        unsigned found = params_.assoc;
+        for (unsigned w = 0; w < params_.assoc; ++w)
+            found = wayHits(base[w], tag) ? w : found;
+        return found;
     }
 
     /**
@@ -337,16 +343,14 @@ class Cache
         const std::uint64_t base_index =
             setIndexOfTag(tag) * params_.assoc;
         Way *base = &ways_[base_index];
-        for (unsigned w = 0; w < params_.assoc; ++w) {
-            if (wayHits(base[w], tag)) {
-                // Fifo keeps the insertion order; Lru refreshes it.
-                if (lru_refresh_)
-                    touchWay(base, w);
-                mru_index_ = base_index + w;
-                return true;
-            }
-        }
-        return false;
+        const unsigned w = findWay(base, tag);
+        if (w == params_.assoc)
+            return false;
+        // Fifo keeps the insertion order; Lru refreshes it.
+        if (lru_refresh_)
+            touchWay(base, w);
+        mru_index_ = base_index + w;
+        return true;
     }
 
     /** Full way scan behind the MRU fast path of containsTag(). */

@@ -6,6 +6,11 @@
 # wall time regresses more than the threshold against the committed
 # baseline (BENCH_pr8.json by default).
 #
+# Exit status: 0 pass, 1 regression, 2 when the result cannot be
+# compared with the baseline — its "jobs" differs from the baseline's
+# (micro_perf runs its sweeps on one worker) or a result scenario has
+# no baseline entry.
+#
 # Usage:
 #   tools/perf_gate.sh                      # gate against baseline
 #   tools/perf_gate.sh --update             # refresh the baseline
@@ -83,14 +88,23 @@ with open(baseline_path) as f:
 with open(result_path) as f:
     result = json.load(f)
 
+# A result measured at another worker count, or a scenario the
+# baseline never measured, has nothing to be compared with.
+if result.get("jobs") != baseline.get("jobs"):
+    print(f"result ran at jobs={result.get('jobs')}, baseline at "
+          f"jobs={baseline.get('jobs')}: not comparable")
+    sys.exit(2)
 base_by_name = {s["name"]: s for s in baseline["scenarios"]}
+missing = [s["name"] for s in result["scenarios"]
+           if s["name"] not in base_by_name]
+if missing:
+    print(f"no baseline entry for: {', '.join(missing)} "
+          f"(record one with tools/perf_gate.sh --update)")
+    sys.exit(2)
 failed = False
 for scenario in result["scenarios"]:
     name = scenario["name"]
-    base = base_by_name.get(name)
-    if base is None:
-        print(f"{name}: no baseline entry, skipping")
-        continue
+    base = base_by_name[name]
     change = 100.0 * (scenario["wallMs"] - base["wallMs"]) / base["wallMs"]
     verdict = "OK"
     if change > threshold:
