@@ -47,8 +47,8 @@ main()
                 return pointChange(base.iHitAll, run.iHitAll);
             });
 
-        for (Technique t : comparedTechniques()) {
-            const std::string name = techniqueName(t);
+        for (const TechniqueSpec &t : comparedTechniques()) {
+            const std::string &name = t.name;
             std::vector<std::string> row = {name};
             for (const std::string &bench :
                  BenchmarkSuite::benchmarkNames()) {

@@ -45,8 +45,8 @@ main()
         const SeriesMatrix perf =
             SweepReport(sweep, results).throughputChange();
 
-        for (Technique t : comparedTechniques()) {
-            const std::string tname = techniqueName(t);
+        for (const TechniqueSpec &t : comparedTechniques()) {
+            const std::string &tname = t.name;
             std::vector<std::string> row = {tname};
             for (const std::string &bench :
                  BenchmarkSuite::benchmarkNames())

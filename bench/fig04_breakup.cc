@@ -35,7 +35,7 @@ main()
     Sweep sweep;
     for (const std::string &bench : BenchmarkSuite::benchmarkNames()) {
         sweep.add(bench, "Linux", ExperimentConfig::standard(bench),
-                  Technique::Linux);
+                  TechniqueSpec{"Linux"});
     }
     const SweepResults results = SweepRunner().run(sweep);
 

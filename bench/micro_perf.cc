@@ -105,7 +105,7 @@ fig09FastSweep()
             sweep.addComparison(bench, name,
                                 tracedFastConfig(bench)
                                     .withSteal(policy),
-                                Technique::SchedTask);
+                                TechniqueSpec{"SchedTask"});
         }
     }
     return sweep;

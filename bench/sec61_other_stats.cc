@@ -34,7 +34,7 @@ main()
     for (const std::string &bench : BenchmarkSuite::benchmarkNames())
         sweep.addComparison(bench, "SchedTask",
                             ExperimentConfig::standard(bench),
-                            Technique::SchedTask);
+                            TechniqueSpec{"SchedTask"});
     const SweepResults results = SweepRunner().run(sweep);
     const SweepReport report(sweep, results);
 

@@ -49,8 +49,8 @@ main()
         const SeriesMatrix perf = report.throughputChange();
 
         // One row pair (Idle / Perf) per technique, paper layout.
-        for (Technique t : comparedTechniques()) {
-            const std::string name = techniqueName(t);
+        for (const TechniqueSpec &t : comparedTechniques()) {
+            const std::string &name = t.name;
             std::vector<std::string> idle_row = {name + " Idle"};
             std::vector<std::string> perf_row = {name + " Perf"};
             for (const std::string &bench : benchmarks) {

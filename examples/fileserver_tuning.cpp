@@ -40,12 +40,12 @@ main(int argc, char **argv)
         sweep.addVersus(bench, "epoch " + std::to_string(epoch),
                         ExperimentConfig::standard(bench)
                             .withEpochCycles(epoch),
-                        Technique::SchedTask, base_cfg);
+                        TechniqueSpec{"SchedTask"}, base_cfg);
     for (unsigned bits : widths)
         sweep.addVersus(bench, std::to_string(bits) + " bits",
                         ExperimentConfig::standard(bench)
                             .withHeatmapBits(bits),
-                        Technique::SchedTask, base_cfg);
+                        TechniqueSpec{"SchedTask"}, base_cfg);
     const SweepResults results = SweepRunner().run(sweep);
     const SweepReport report(sweep, results);
 

@@ -35,16 +35,16 @@ main(int argc, char **argv)
     // Linux baseline, spread over worker threads.
     const ExperimentConfig cfg = ExperimentConfig::standardBag(bag);
     Sweep sweep;
-    for (Technique t : comparedTechniques())
-        sweep.addComparison(bag, techniqueName(t), cfg, t);
+    for (const TechniqueSpec &t : comparedTechniques())
+        sweep.addComparison(bag, t.name, cfg, t);
     const SweepResults results = SweepRunner().run(sweep);
     const SweepReport report(sweep, results);
     const RunResult &base = report.baselineOf(bag);
 
     TextTable table({"technique", "throughput vs Linux", "idle (%)",
                      "per-tenant insts change"});
-    for (Technique t : comparedTechniques()) {
-        const RunResult &run = report.run(bag, techniqueName(t));
+    for (const TechniqueSpec &t : comparedTechniques()) {
+        const RunResult &run = report.run(bag, t.name);
         std::string tenants;
         for (std::size_t p = 0; p < run.metrics.instsByPart.size();
              ++p) {
@@ -54,7 +54,7 @@ main(int argc, char **argv)
                 static_cast<double>(base.metrics.instsByPart[p]),
                 static_cast<double>(run.metrics.instsByPart[p])));
         }
-        table.addRow({techniqueName(t),
+        table.addRow({t.name,
                       TextTable::pct(percentChange(
                           base.instThroughput(),
                           run.instThroughput())) + " %",

@@ -26,41 +26,12 @@ namespace schedtask
 {
 
 /**
- * The compared techniques (Section 6.1, Table 3).
- *
- * Legacy shim: techniques live in the name-keyed SchedulerRegistry
- * (sched/registry.hh) and the harness dispatches on TechniqueSpec;
- * this enum survives so the figure binaries and tests that predate
- * the registry keep compiling. New call sites should use
- * TechniqueSpec / SchedulerRegistry directly.
+ * The techniques compared against the baseline (Section 6.1,
+ * Table 3), as registry specs: the registry's paper entries minus
+ * those flagged isBaseline, so the baseline's exclusion is an
+ * explicit property, not an ordering assumption.
  */
-enum class Technique : std::uint8_t
-{
-    Linux,
-    SelectiveOffload,
-    FlexSC,
-    DisAggregateOS,
-    SLICC,
-    SchedTask,
-};
-
-/** Name as used in the paper's figures. */
-const char *techniqueName(Technique technique);
-
-/** Registry spec (no options) for a legacy enum value. */
-TechniqueSpec techniqueSpec(Technique technique);
-
-/**
- * The techniques compared against the baseline, derived from the
- * registry's paper entries minus those flagged isBaseline (so the
- * baseline's exclusion is an explicit property, not an ordering
- * assumption).
- */
-const std::vector<Technique> &comparedTechniques();
-
-/** Instantiate a scheduler for a technique. */
-std::unique_ptr<Scheduler> makeScheduler(
-    Technique technique, const SchedTaskParams &st_params = {});
+const std::vector<TechniqueSpec> &comparedTechniques();
 
 /** Instantiate a scheduler from a registry spec. */
 std::unique_ptr<Scheduler> makeScheduler(
@@ -253,9 +224,6 @@ struct RunResult
  * the calling thread; the master seed is taken verbatim from
  * config.machine.seed.
  */
-RunResult runOnce(const ExperimentConfig &config, Technique technique);
-
-/** runOnce() for a registry spec (result keyed by spec.str()). */
 RunResult runOnce(const ExperimentConfig &config,
                   const TechniqueSpec &spec);
 
@@ -319,9 +287,6 @@ struct Comparison
  * threads (SCHEDTASK_JOBS permitting), with identical workload
  * streams for both runs.
  */
-Comparison compare(const ExperimentConfig &config, Technique technique);
-
-/** compare() for a registry spec. */
 Comparison compare(const ExperimentConfig &config,
                    const TechniqueSpec &spec);
 

@@ -203,13 +203,6 @@ Sweep::add(const std::string &row, const std::string &col,
     return *this;
 }
 
-Sweep &
-Sweep::add(const std::string &row, const std::string &col,
-           ExperimentConfig config, Technique technique)
-{
-    return add(row, col, std::move(config), techniqueSpec(technique));
-}
-
 namespace
 {
 
@@ -219,11 +212,8 @@ baselineSpec()
 {
     for (const SchedulerInfo *info :
          SchedulerRegistry::instance().paperEntries()) {
-        if (info->isBaseline) {
-            TechniqueSpec spec;
-            spec.name = info->name;
-            return spec;
-        }
+        if (info->isBaseline)
+            return TechniqueSpec{info->name};
     }
     SCHEDTASK_FATAL("no registered technique is flagged isBaseline");
 }
@@ -259,14 +249,6 @@ Sweep::addComparison(const std::string &row, const std::string &col,
 }
 
 Sweep &
-Sweep::addComparison(const std::string &row, const std::string &col,
-                     ExperimentConfig config, Technique technique)
-{
-    return addComparison(row, col, std::move(config),
-                         techniqueSpec(technique));
-}
-
-Sweep &
 Sweep::addVersus(const std::string &row, const std::string &col,
                  ExperimentConfig config, const TechniqueSpec &spec,
                  const ExperimentConfig &baseline_config)
@@ -278,26 +260,17 @@ Sweep::addVersus(const std::string &row, const std::string &col,
     return *this;
 }
 
-Sweep &
-Sweep::addVersus(const std::string &row, const std::string &col,
-                 ExperimentConfig config, Technique technique,
-                 const ExperimentConfig &baseline_config)
-{
-    return addVersus(row, col, std::move(config),
-                     techniqueSpec(technique), baseline_config);
-}
-
 Sweep
 Sweep::cross(const std::vector<std::string> &rows,
-             const std::vector<Technique> &techniques,
+             const std::vector<TechniqueSpec> &techniques,
              const std::function<ExperimentConfig(const std::string &)>
                  &make)
 {
     Sweep sweep;
     for (const std::string &row : rows) {
         const ExperimentConfig cfg = make(row);
-        for (Technique t : techniques)
-            sweep.addComparison(row, techniqueName(t), cfg, t);
+        for (const TechniqueSpec &spec : techniques)
+            sweep.addComparison(row, spec.str(), cfg, spec);
     }
     return sweep;
 }

@@ -103,8 +103,6 @@ class Sweep
     /** Add a standalone run (no baseline attached). */
     Sweep &add(const std::string &row, const std::string &col,
                ExperimentConfig config, const TechniqueSpec &spec);
-    Sweep &add(const std::string &row, const std::string &col,
-               ExperimentConfig config, Technique technique);
 
     /** Register the row's baseline (the registry technique flagged
      *  isBaseline) for `config`, idempotent per fingerprint.
@@ -117,8 +115,6 @@ class Sweep
     Sweep &addComparison(const std::string &row, const std::string &col,
                          ExperimentConfig config,
                          const TechniqueSpec &spec);
-    Sweep &addComparison(const std::string &row, const std::string &col,
-                         ExperimentConfig config, Technique technique);
 
     /** Add a run compared against a baseline on a *different*
      *  configuration (e.g. a parameter sweep whose reference is the
@@ -126,18 +122,16 @@ class Sweep
     Sweep &addVersus(const std::string &row, const std::string &col,
                      ExperimentConfig config, const TechniqueSpec &spec,
                      const ExperimentConfig &baseline_config);
-    Sweep &addVersus(const std::string &row, const std::string &col,
-                     ExperimentConfig config, Technique technique,
-                     const ExperimentConfig &baseline_config);
 
     /**
      * The recurring figure layout: one row per benchmark, one
-     * comparison column per technique, all against the per-row
-     * Linux baseline. `make` builds the row's configuration.
+     * comparison column per technique (labelled spec.str()), all
+     * against the per-row Linux baseline. `make` builds the row's
+     * configuration.
      */
     static Sweep cross(
         const std::vector<std::string> &rows,
-        const std::vector<Technique> &techniques,
+        const std::vector<TechniqueSpec> &techniques,
         const std::function<ExperimentConfig(const std::string &)>
             &make);
 

@@ -85,11 +85,18 @@ class SchedulerOptions
 
 /**
  * A technique selection: registry name plus its option blob. This is
- * the currency the harness passes around; the legacy Technique enum
- * converts into one via techniqueSpec() in harness/experiment.hh.
+ * the one way the harness, the figure binaries and the CLI name a
+ * technique; `TechniqueSpec{"Linux"}` is a bare registry name.
  */
 struct TechniqueSpec
 {
+    TechniqueSpec() = default;
+
+    explicit TechniqueSpec(std::string technique_name)
+        : name(std::move(technique_name))
+    {
+    }
+
     std::string name = "SchedTask";
     SchedulerOptions options;
 

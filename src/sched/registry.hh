@@ -5,9 +5,10 @@
  * Techniques self-register under a canonical name with a factory
  * that builds a Scheduler from a SchedulerFactoryContext (the parsed
  * option blob plus the harness's SchedTaskParams ablation knobs).
- * The CLI, the sweep runner, and the legacy Technique enum all
- * resolve techniques here, so adding a scheduler is one registration
- * call — no harness edit, no enum case, no switch.
+ * The CLI, the sweep runner and the figure binaries all name a
+ * technique by a TechniqueSpec and resolve it here, so adding a
+ * scheduler is one registration call — no harness edit, no enum
+ * case, no switch.
  *
  * Properties carried per entry:
  *  - isBaseline: the technique is the reference others are compared

@@ -75,7 +75,7 @@ TEST(EpochTraceRingDeath, ZeroCapacityPanics)
 TEST(EpochTraceMachine, OneSamplePerMeasuredEpoch)
 {
     const ExperimentConfig cfg = tracedConfig();
-    const RunResult r = runOnce(cfg, Technique::SchedTask);
+    const RunResult r = runOnce(cfg, TechniqueSpec{"SchedTask"});
     const std::vector<EpochSample> &samples = r.metrics.epochSamples;
 
     // Warmup epochs are cleared by resetStats; the measured window
@@ -96,7 +96,7 @@ TEST(EpochTraceMachine, OneSamplePerMeasuredEpoch)
 TEST(EpochTraceMachine, SamplesAreExactDeltasOfWindowTotals)
 {
     const ExperimentConfig cfg = tracedConfig();
-    const RunResult r = runOnce(cfg, Technique::SchedTask);
+    const RunResult r = runOnce(cfg, TechniqueSpec{"SchedTask"});
     const SimMetrics &m = r.metrics;
     ASSERT_FALSE(m.epochSamples.empty());
 
@@ -134,7 +134,7 @@ TEST(EpochTraceMachine, SamplesAreExactDeltasOfWindowTotals)
 
 TEST(EpochTraceMachine, SchedTaskDecisionReportPopulated)
 {
-    const RunResult r = runOnce(tracedConfig(), Technique::SchedTask);
+    const RunResult r = runOnce(tracedConfig(), TechniqueSpec{"SchedTask"});
     ASSERT_FALSE(r.metrics.epochSamples.empty());
     const SchedEpochReport &sched =
         r.metrics.epochSamples.back().sched;
@@ -151,7 +151,7 @@ TEST(EpochTraceMachine, DisabledByDefault)
 {
     ExperimentConfig cfg = tracedConfig();
     cfg.machine.trace = false;
-    const RunResult r = runOnce(cfg, Technique::SchedTask);
+    const RunResult r = runOnce(cfg, TechniqueSpec{"SchedTask"});
     EXPECT_TRUE(r.metrics.epochSamples.empty());
 }
 
@@ -160,8 +160,8 @@ TEST(EpochTraceMachine, TracingIsPureObservation)
     ExperimentConfig plain = tracedConfig();
     plain.machine.trace = false;
     const RunResult traced =
-        runOnce(tracedConfig(), Technique::SchedTask);
-    const RunResult untraced = runOnce(plain, Technique::SchedTask);
+        runOnce(tracedConfig(), TechniqueSpec{"SchedTask"});
+    const RunResult untraced = runOnce(plain, TechniqueSpec{"SchedTask"});
     EXPECT_EQ(traced.metrics.instsRetired,
               untraced.metrics.instsRetired);
     EXPECT_EQ(traced.metrics.appEvents, untraced.metrics.appEvents);
@@ -174,10 +174,10 @@ TEST(EpochTraceMachine, TracingIsPureObservation)
 
 TEST(EpochTraceMachine, EveryTechniqueReports)
 {
-    std::vector<Technique> techniques = comparedTechniques();
-    techniques.push_back(Technique::Linux);
-    for (Technique t : techniques) {
-        SCOPED_TRACE(techniqueName(t));
+    std::vector<TechniqueSpec> techniques = comparedTechniques();
+    techniques.push_back(TechniqueSpec{"Linux"});
+    for (const TechniqueSpec &t : techniques) {
+        SCOPED_TRACE(t.name);
         ExperimentConfig cfg = tracedConfig("Find");
         cfg.measureEpochs = 2;
         const RunResult r = runOnce(cfg, t);
@@ -189,7 +189,7 @@ TEST(EpochTraceMachine, EveryTechniqueReports)
 
 TEST(EpochTraceExport, JsonlOneValidLinePerEpoch)
 {
-    const RunResult r = runOnce(tracedConfig(), Technique::SchedTask);
+    const RunResult r = runOnce(tracedConfig(), TechniqueSpec{"SchedTask"});
     const std::string jsonl =
         epochTraceJsonl(r.metrics.epochSamples);
 
@@ -208,7 +208,7 @@ TEST(EpochTraceExport, JsonlOneValidLinePerEpoch)
 
 TEST(EpochTraceExport, ChromeTraceWellFormedWithPerCoreEvents)
 {
-    const RunResult r = runOnce(tracedConfig(), Technique::SchedTask);
+    const RunResult r = runOnce(tracedConfig(), TechniqueSpec{"SchedTask"});
     const std::string trace =
         chromeTraceJson(r.metrics.epochSamples, r.freqGhz);
 

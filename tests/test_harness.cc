@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
@@ -14,16 +16,21 @@ using namespace schedtask;
 
 TEST(Harness, TechniqueNamesRoundTrip)
 {
-    EXPECT_STREQ(techniqueName(Technique::Linux), "Linux");
-    EXPECT_STREQ(techniqueName(Technique::SchedTask), "SchedTask");
-    EXPECT_EQ(comparedTechniques().size(), 5u);
+    // The figure columns, in paper order, as bare registry names.
+    std::vector<std::string> names;
+    for (const TechniqueSpec &t : comparedTechniques())
+        names.push_back(t.str());
+    EXPECT_EQ(names,
+              (std::vector<std::string>{"SelectiveOffload", "FlexSC",
+                                        "DisAggregateOS", "SLICC",
+                                        "SchedTask"}));
 }
 
 TEST(Harness, MakeSchedulerMatchesName)
 {
-    for (Technique t : comparedTechniques()) {
+    for (const TechniqueSpec &t : comparedTechniques()) {
         auto sched = makeScheduler(t);
-        EXPECT_STREQ(sched->name(), techniqueName(t));
+        EXPECT_EQ(sched->name(), t.name);
     }
 }
 
@@ -62,7 +69,7 @@ TEST(Harness, RunOnceProducesConsistentResult)
     cfg.baselineCores = 8;
     cfg.warmupEpochs = 1;
     cfg.measureEpochs = 2;
-    const RunResult r = runOnce(cfg, Technique::Linux);
+    const RunResult r = runOnce(cfg, TechniqueSpec{"Linux"});
     EXPECT_EQ(r.numCores, 8u);
     EXPECT_GT(r.instThroughput(), 0.0);
     EXPECT_GT(r.appPerformance(), 0.0);
@@ -77,7 +84,7 @@ TEST(Harness, SelectiveOffloadUsesDoubleCores)
     cfg.baselineCores = 4;
     cfg.warmupEpochs = 1;
     cfg.measureEpochs = 1;
-    const RunResult r = runOnce(cfg, Technique::SelectiveOffload);
+    const RunResult r = runOnce(cfg, TechniqueSpec{"SelectiveOffload"});
     EXPECT_EQ(r.numCores, 8u);
 }
 
@@ -87,8 +94,8 @@ TEST(Harness, RunsAreReproducible)
     cfg.baselineCores = 4;
     cfg.warmupEpochs = 1;
     cfg.measureEpochs = 1;
-    const RunResult a = runOnce(cfg, Technique::SchedTask);
-    const RunResult b = runOnce(cfg, Technique::SchedTask);
+    const RunResult a = runOnce(cfg, TechniqueSpec{"SchedTask"});
+    const RunResult b = runOnce(cfg, TechniqueSpec{"SchedTask"});
     EXPECT_EQ(a.metrics.instsRetired, b.metrics.instsRetired);
     EXPECT_EQ(a.metrics.appEvents, b.metrics.appEvents);
 }
@@ -150,4 +157,27 @@ TEST(Harness, FastModeShrinksWindows)
     unsetenv("SCHEDTASK_FAST");
     const ExperimentConfig full = ExperimentConfig::standard("Find");
     EXPECT_LT(fast.measureEpochs, full.measureEpochs);
+}
+
+TEST(Harness, FastModeRejectsUnknownValues)
+{
+    // Only unset/empty, 0 and 1 are accepted; "false" must not read
+    // as fast mode on.
+    for (const char *value : {"false", "off", "no", "2", "1x"}) {
+        EXPECT_EXIT(
+            {
+                setenv("SCHEDTASK_FAST", value, 1);
+                ExperimentConfig::standard("Find");
+            },
+            ::testing::ExitedWithCode(2), "invalid SCHEDTASK_FAST")
+            << value;
+    }
+    setenv("SCHEDTASK_FAST", "", 1);
+    const ExperimentConfig empty = ExperimentConfig::standard("Find");
+    setenv("SCHEDTASK_FAST", "0", 1);
+    const ExperimentConfig zero = ExperimentConfig::standard("Find");
+    unsetenv("SCHEDTASK_FAST");
+    const ExperimentConfig full = ExperimentConfig::standard("Find");
+    EXPECT_EQ(empty.measureEpochs, full.measureEpochs);
+    EXPECT_EQ(zero.measureEpochs, full.measureEpochs);
 }

@@ -283,105 +283,6 @@ TEST(LintSty01, DoesNotApplyToSourceFiles)
     )lint").empty());
 }
 
-// ---- REG-01: Technique dispatch outside the shim --------------------
-
-TEST(LintReg01, RejectsSwitchOverTechnique)
-{
-    const auto diags = lintSource("tools/foo.cc", R"lint(
-        int pick(Technique technique) {
-            switch (technique) {
-            default: return 0;
-            }
-        }
-    )lint");
-    ASSERT_TRUE(hasRule(diags, "REG-01"));
-}
-
-TEST(LintReg01, RejectsSwitchOverCastTechnique)
-{
-    const auto diags = lintSource("src/sim/foo.cc", R"lint(
-        void f(int raw) {
-            switch (static_cast<Technique>(raw)) {
-            default: break;
-            }
-        }
-    )lint");
-    EXPECT_TRUE(hasRule(diags, "REG-01"));
-}
-
-TEST(LintReg01, ExemptInExperimentShim)
-{
-    EXPECT_TRUE(lintSource("src/harness/experiment.cc", R"lint(
-        int pick(Technique technique) {
-            switch (technique) {
-            default: return 0;
-            }
-        }
-    )lint").empty());
-}
-
-TEST(LintReg01, AcceptsUnrelatedSwitches)
-{
-    EXPECT_TRUE(lintSource("src/sim/foo.cc", R"lint(
-        int pick(int mode) {
-            switch (mode) {
-            default: return 0;
-            }
-        }
-    )lint").empty());
-}
-
-// ---- SIMD-01: intrinsics confined to the simd layer -----------------
-
-TEST(LintSimd01, RejectsIntrinsicsOutsideSimdLayer)
-{
-    const auto diags = lintSource("src/core/page_heatmap.cc", R"lint(
-        unsigned weight(const __m256i *w) {
-            return _mm256_extract_epi64(*w, 0);
-        }
-    )lint");
-    ASSERT_TRUE(hasRule(diags, "SIMD-01"));
-}
-
-TEST(LintSimd01, RejectsAvxFeatureMacroAndInclude)
-{
-    EXPECT_TRUE(hasRule(lintSource("src/mem/cache.hh", R"lint(
-        #ifdef __AVX2__
-        #endif
-    )lint"), "SIMD-01"));
-    EXPECT_TRUE(hasRule(lintSource("src/sim/core.cc", R"lint(
-        #include <immintrin.h>
-    )lint"), "SIMD-01"));
-    EXPECT_TRUE(hasRule(lintSource("bench/micro_perf.cc", R"lint(
-        __m512i acc = _mm512_setzero_si512();
-    )lint"), "SIMD-01"));
-}
-
-TEST(LintSimd01, ExemptInSimdHeader)
-{
-    // Guard lines keep STY-01 quiet; the point is SIMD-01 silence.
-    EXPECT_FALSE(hasRule(lintSource("src/common/simd.hh", R"lint(
-        #ifndef SCHEDTASK_COMMON_SIMD_HH
-        #define SCHEDTASK_COMMON_SIMD_HH
-        #include <immintrin.h>
-        inline __m256i andWords(__m256i a, __m256i b) {
-            return _mm256_and_si256(a, b);
-        }
-        #endif
-    )lint"), "SIMD-01"));
-}
-
-TEST(LintSimd01, AcceptsSimdySpellings)
-{
-    // Identifiers that merely mention simd or vector widths are not
-    // intrinsics.
-    EXPECT_TRUE(lintSource("src/sim/foo.cc", R"lint(
-        simd::Kernels k = simd::active();
-        unsigned mm256 = bits / 2;
-        int simd_level = 2;
-    )lint").empty());
-}
-
 // ---- lint:allow pragma ----------------------------------------------
 
 TEST(LintAllow, SilencesOnSameLine)

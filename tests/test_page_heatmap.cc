@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/random.hh"
 #include "core/page_heatmap.hh"
 
@@ -147,8 +150,103 @@ TEST_P(HeatmapWidth, WiderFiltersCollideLess)
     }
 }
 
+namespace
+{
+
+/** Reference model: one flag per filter bit, set for the hashed bit
+ *  of every inserted PFN. */
+std::vector<bool>
+referenceBits(const std::vector<Addr> &pfns, unsigned bits)
+{
+    std::vector<bool> set(bits, false);
+    for (Addr pfn : pfns)
+        set[PageHeatmap::hashPfn(pfn) & (bits - 1)] = true;
+    return set;
+}
+
+unsigned
+countBits(const std::vector<bool> &set)
+{
+    return static_cast<unsigned>(
+        std::count(set.begin(), set.end(), true));
+}
+
+} // namespace
+
+TEST_P(HeatmapWidth, WordOpsMatchBitSetReference)
+{
+    const unsigned bits = GetParam();
+    Rng rng(bits);
+    std::vector<Addr> pa, pb;
+    for (int i = 0; i < 400; ++i) {
+        pa.push_back(rng.below(1 << 20));
+        pb.push_back(rng.below(1 << 20));
+    }
+    PageHeatmap a(bits), b(bits);
+    for (Addr pfn : pa)
+        a.insertPfn(pfn);
+    for (Addr pfn : pb)
+        b.insertPfn(pfn);
+
+    const std::vector<bool> ra = referenceBits(pa, bits);
+    const std::vector<bool> rb = referenceBits(pb, bits);
+    std::vector<bool> both(bits), either(bits);
+    for (unsigned i = 0; i < bits; ++i) {
+        both[i] = ra[i] && rb[i];
+        either[i] = ra[i] || rb[i];
+    }
+    EXPECT_EQ(a.popcount(), countBits(ra));
+    EXPECT_EQ(b.popcount(), countBits(rb));
+    EXPECT_EQ(a.overlap(b), countBits(both));
+    EXPECT_EQ(b.overlap(a), countBits(both));
+
+    const PageHeatmap a_only = a;
+    a.orWith(b);
+    EXPECT_EQ(a.popcount(), countBits(either));
+    EXPECT_EQ(a.overlap(a_only), countBits(ra));
+    EXPECT_EQ(a.overlap(b), countBits(rb));
+    for (Addr pfn : pb)
+        EXPECT_TRUE(a.mightContainPfn(pfn));
+
+    a.clear();
+    EXPECT_TRUE(a.empty());
+    EXPECT_EQ(a.popcount(), 0u);
+    EXPECT_EQ(a.overlap(b), 0u);
+    // Inserts after a clear set their bits again.
+    for (Addr pfn : pa)
+        a.insertPfn(pfn);
+    EXPECT_EQ(a, a_only);
+}
+
+TEST_P(HeatmapWidth, AllOnesAndAllZerosWeights)
+{
+    const unsigned bits = GetParam();
+    // Below 2^18 the hash is pfn + (pfn >> 9): it never skips two
+    // values a filter width apart, so 2 * bits consecutive frames
+    // set every bit.
+    PageHeatmap ones(bits), zeros(bits);
+    for (Addr pfn = 0; pfn < 2 * Addr{bits}; ++pfn)
+        ones.insertPfn(pfn);
+    ASSERT_EQ(ones.popcount(), bits);
+    EXPECT_EQ(zeros.popcount(), 0u);
+    EXPECT_EQ(ones.overlap(ones), bits);
+    EXPECT_EQ(ones.overlap(zeros), 0u);
+    EXPECT_EQ(zeros.overlap(ones), 0u);
+    EXPECT_EQ(zeros.overlap(zeros), 0u);
+
+    zeros.orWith(ones);
+    EXPECT_EQ(zeros, ones);
+    ones.clear();
+    EXPECT_TRUE(ones.empty());
+    EXPECT_EQ(ones.popcount(), 0u);
+    EXPECT_EQ(zeros.overlap(ones), 0u);
+}
+
+// Every supported width, 64 to 65536 bits.
 INSTANTIATE_TEST_SUITE_P(Widths, HeatmapWidth,
-                         ::testing::Values(128, 256, 512, 1024, 2048));
+                         ::testing::Values(64, 128, 256, 512, 1024, 2048,
+                                           4096, 8192, 16384, 32768,
+                                           65536));
 
 TEST(PageHeatmapDeath, MismatchedWidthsPanic)
 {

@@ -18,6 +18,7 @@
 #include <tuple>
 
 #include "harness/experiment.hh"
+#include "sched/registry.hh"
 #include "sim/machine.hh"
 #include "workload/benchmarks.hh"
 
@@ -29,19 +30,20 @@ namespace
 struct RunOutcome
 {
     SimMetrics metrics;
+    unsigned cores = 0;
     unsigned paused = 0;
     unsigned running = 0;
     std::size_t pool = 0;
 };
 
 RunOutcome
-runConfig(const std::string &bench, Technique technique,
+runConfig(const std::string &bench, const TechniqueSpec &spec,
           unsigned cores, double scale)
 {
     BenchmarkSuite suite;
     Workload workload =
         Workload::buildSingle(suite, bench, scale, cores);
-    auto sched = makeScheduler(technique);
+    auto sched = makeScheduler(spec);
     MachineParams mp;
     mp.numCores = sched->coresRequired(cores);
     mp.epochCycles = 40000;
@@ -51,6 +53,7 @@ runConfig(const std::string &bench, Technique technique,
 
     RunOutcome out;
     out.metrics = m.metricsSnapshot();
+    out.cores = mp.numCores;
     out.pool = m.sfPool().size();
     for (const auto &sf : m.sfPool()) {
         if (sf->info == nullptr)
@@ -61,18 +64,35 @@ runConfig(const std::string &bench, Technique technique,
     return out;
 }
 
+/**
+ * A paper technique by its position in the registry's paper order
+ * (0 = Linux). The test IDs print the parameter, so it stays a
+ * one-byte value.
+ */
+struct PaperTechnique
+{
+    std::uint8_t index;
+
+    TechniqueSpec
+    spec() const
+    {
+        return TechniqueSpec{
+            SchedulerRegistry::instance().paperEntries().at(index)->name};
+    }
+};
+
 } // namespace
 
 class TechniqueWorkloadSweep
     : public ::testing::TestWithParam<
-          std::tuple<std::string, Technique>>
+          std::tuple<std::string, PaperTechnique>>
 {
 };
 
 TEST_P(TechniqueWorkloadSweep, InvariantsHold)
 {
     const auto &[bench, technique] = GetParam();
-    const RunOutcome out = runConfig(bench, technique, 8, 1.0);
+    const RunOutcome out = runConfig(bench, technique.spec(), 8, 1.0);
     const SimMetrics &m = out.metrics;
 
     // Forward progress.
@@ -92,8 +112,7 @@ TEST_P(TechniqueWorkloadSweep, InvariantsHold)
     EXPECT_LE(by_part, m.instsRetired);
 
     // Idle bounded.
-    const unsigned cores =
-        technique == Technique::SelectiveOffload ? 16 : 8;
+    const unsigned cores = out.cores;
     EXPECT_GE(m.idleFraction(cores), 0.0);
     EXPECT_LE(m.idleFraction(cores), 1.0);
 
@@ -109,8 +128,8 @@ TEST_P(TechniqueWorkloadSweep, InvariantsHold)
 TEST_P(TechniqueWorkloadSweep, Deterministic)
 {
     const auto &[bench, technique] = GetParam();
-    const RunOutcome a = runConfig(bench, technique, 4, 1.0);
-    const RunOutcome b = runConfig(bench, technique, 4, 1.0);
+    const RunOutcome a = runConfig(bench, technique.spec(), 4, 1.0);
+    const RunOutcome b = runConfig(bench, technique.spec(), 4, 1.0);
     EXPECT_EQ(a.metrics.instsRetired, b.metrics.instsRetired);
     EXPECT_EQ(a.metrics.appEvents, b.metrics.appEvents);
     EXPECT_EQ(a.metrics.migrations, b.metrics.migrations);
@@ -121,28 +140,25 @@ TEST_P(TechniqueWorkloadSweep, Deterministic)
 namespace
 {
 
-std::vector<std::tuple<std::string, Technique>>
+std::vector<std::tuple<std::string, PaperTechnique>>
 sweepCases()
 {
-    std::vector<std::tuple<std::string, Technique>> cases;
-    const std::vector<Technique> techniques = {
-        Technique::Linux,          Technique::SelectiveOffload,
-        Technique::FlexSC,         Technique::DisAggregateOS,
-        Technique::SLICC,          Technique::SchedTask,
-    };
+    std::vector<std::tuple<std::string, PaperTechnique>> cases;
+    const std::size_t techniques =
+        SchedulerRegistry::instance().paperEntries().size();
     for (const std::string &b : BenchmarkSuite::benchmarkNames())
-        for (Technique t : techniques)
-            cases.emplace_back(b, t);
+        for (std::size_t t = 0; t < techniques; ++t)
+            cases.emplace_back(
+                b, PaperTechnique{static_cast<std::uint8_t>(t)});
     return cases;
 }
 
 std::string
-sweepName(
-    const ::testing::TestParamInfo<std::tuple<std::string, Technique>>
-        &info)
+sweepName(const ::testing::TestParamInfo<
+          std::tuple<std::string, PaperTechnique>> &info)
 {
     return std::get<0>(info.param) + "_"
-        + techniqueName(std::get<1>(info.param));
+        + std::get<1>(info.param).spec().name;
 }
 
 } // namespace
@@ -158,7 +174,7 @@ class ScaleSweep : public ::testing::TestWithParam<double>
 TEST_P(ScaleSweep, SchedTaskHandlesLoad)
 {
     const RunOutcome out =
-        runConfig("Apache", Technique::SchedTask, 8, GetParam());
+        runConfig("Apache", TechniqueSpec{"SchedTask"}, 8, GetParam());
     EXPECT_GT(out.metrics.appEvents, 0u);
     EXPECT_LE(out.paused, 8u);
     // More load must never reduce total retirement catastrophically.

@@ -1,7 +1,7 @@
 /**
  * @file
  * Scheduler registry and option-blob tests: parse grammar, strict
- * validation, registration round-trips, the legacy Technique shims,
+ * validation, registration round-trips, the compared-technique list,
  * and determinism of the post-paper techniques under the sweep
  * runner at any job count.
  */
@@ -190,25 +190,18 @@ TEST(Registry, ListsBuiltinsSorted)
     EXPECT_TRUE(has("hts"));
 }
 
-// ---- legacy Technique shims -----------------------------------------
-
-TEST(Shims, TechniqueSpecMatchesNames)
-{
-    EXPECT_EQ(techniqueSpec(Technique::Linux).str(), "Linux");
-    EXPECT_EQ(techniqueSpec(Technique::SchedTask).str(), "SchedTask");
-    EXPECT_STREQ(techniqueName(Technique::SLICC), "SLICC");
-}
+// ---- compared techniques -------------------------------------------
 
 TEST(Shims, ComparedTechniquesExcludeBaseline)
 {
     // The historical bug: comparedTechniques() must list the five
     // non-baseline paper techniques, in paper order, never Linux.
-    const std::vector<Technique> &cmp = comparedTechniques();
+    const std::vector<TechniqueSpec> &cmp = comparedTechniques();
     ASSERT_EQ(cmp.size(), 5u);
-    EXPECT_EQ(cmp.front(), Technique::SelectiveOffload);
-    EXPECT_EQ(cmp.back(), Technique::SchedTask);
-    for (Technique t : cmp)
-        EXPECT_NE(t, Technique::Linux);
+    EXPECT_EQ(cmp.front().str(), "SelectiveOffload");
+    EXPECT_EQ(cmp.back().str(), "SchedTask");
+    for (const TechniqueSpec &t : cmp)
+        EXPECT_NE(t.name, "Linux");
     EXPECT_TRUE(SchedulerRegistry::instance().isBaseline("Linux"));
     EXPECT_FALSE(
         SchedulerRegistry::instance().isBaseline("SchedTask"));

@@ -62,11 +62,11 @@ TEST(Schedulers, Names)
 
 TEST(Schedulers, EveryTechniqueCompletesWork)
 {
-    for (Technique t : comparedTechniques()) {
+    for (const TechniqueSpec &t : comparedTechniques()) {
         auto sched = makeScheduler(t);
         const SimMetrics m = runSmall(*sched);
-        EXPECT_GT(m.appEvents, 0u) << techniqueName(t);
-        EXPECT_GT(m.instsRetired, 0u) << techniqueName(t);
+        EXPECT_GT(m.appEvents, 0u) << t.name;
+        EXPECT_GT(m.instsRetired, 0u) << t.name;
     }
 }
 

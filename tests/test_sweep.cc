@@ -53,10 +53,10 @@ TEST(SweepSeeds, RowDerivedAndStable)
 {
     Sweep sweep;
     sweep.add("rowA", "SchedTask", smallConfig(),
-              Technique::SchedTask);
-    sweep.add("rowA", "Linux", smallConfig(), Technique::Linux);
+              TechniqueSpec{"SchedTask"});
+    sweep.add("rowA", "Linux", smallConfig(), TechniqueSpec{"Linux"});
     sweep.add("rowB", "SchedTask", smallConfig(),
-              Technique::SchedTask);
+              TechniqueSpec{"SchedTask"});
 
     const auto &reqs = sweep.requests();
     ASSERT_EQ(reqs.size(), 3u);
@@ -74,7 +74,7 @@ TEST(SweepSeeds, DeriveSeedsOffUsesConfigSeed)
     sweep.deriveSeeds(false);
     ExperimentConfig cfg = smallConfig();
     cfg.machine.seed = 42;
-    sweep.add("row", "run", cfg, Technique::Linux);
+    sweep.add("row", "run", cfg, TechniqueSpec{"Linux"});
     EXPECT_EQ(runSeed(sweep.requests()[0]), 42u);
 }
 
@@ -83,8 +83,8 @@ TEST(SweepSeeds, MasterSeedShiftsDerivedSeeds)
     ExperimentConfig a = smallConfig();
     ExperimentConfig b = smallConfig().withSeed(7);
     Sweep sa, sb;
-    sa.add("row", "run", a, Technique::Linux);
-    sb.add("row", "run", b, Technique::Linux);
+    sa.add("row", "run", a, TechniqueSpec{"Linux"});
+    sb.add("row", "run", b, TechniqueSpec{"Linux"});
     EXPECT_NE(runSeed(sa.requests()[0]), runSeed(sb.requests()[0]));
 }
 
@@ -94,19 +94,19 @@ TEST(SweepDedup, OneBaselinePerConfig)
     const ExperimentConfig cfg = smallConfig();
     // Three techniques against the same config: one Linux baseline.
     sweep.addComparison("Find", "SchedTask", cfg,
-                        Technique::SchedTask);
-    sweep.addComparison("Find", "SLICC", cfg, Technique::SLICC);
-    sweep.addComparison("Find", "FlexSC", cfg, Technique::FlexSC);
+                        TechniqueSpec{"SchedTask"});
+    sweep.addComparison("Find", "SLICC", cfg, TechniqueSpec{"SLICC"});
+    sweep.addComparison("Find", "FlexSC", cfg, TechniqueSpec{"FlexSC"});
     // SchedTask-only knobs don't change the Linux baseline either.
     sweep.addComparison("Find", "no-steal",
                         smallConfig().withSteal(StealPolicy::None),
-                        Technique::SchedTask);
+                        TechniqueSpec{"SchedTask"});
     EXPECT_EQ(sweep.size(), 5u);
 
     // A baseline-relevant change (core count) gets its own run.
     sweep.addComparison("Find", "8-core",
                         smallConfig().withCores(8),
-                        Technique::SchedTask);
+                        TechniqueSpec{"SchedTask"});
     EXPECT_EQ(sweep.size(), 7u);
 
     std::atomic<unsigned> baseline_runs{0};
@@ -129,9 +129,9 @@ TEST(SweepRunnerTest, JobsOneAndFourBitwiseIdentical)
         for (const std::string bench : {"Find", "Iscp"}) {
             sweep.addComparison(bench, "SchedTask",
                                 smallConfig(bench),
-                                Technique::SchedTask);
+                                TechniqueSpec{"SchedTask"});
             sweep.addComparison(bench, "SLICC", smallConfig(bench),
-                                Technique::SLICC);
+                                TechniqueSpec{"SLICC"});
         }
         return sweep;
     };
@@ -161,23 +161,24 @@ TEST(SweepRunnerTest, ConcurrentRunsMatchRunOnce)
     const ExperimentConfig cfg = smallConfig();
     Sweep sweep;
     sweep.deriveSeeds(false);
-    sweep.add("a", "Linux", cfg, Technique::Linux);
-    sweep.add("b", "SchedTask", cfg, Technique::SchedTask);
+    sweep.add("a", "Linux", cfg, TechniqueSpec{"Linux"});
+    sweep.add("b", "SchedTask", cfg, TechniqueSpec{"SchedTask"});
     SweepOptions opts;
     opts.jobs = 2;
     opts.progress = false;
     const SweepResults results = SweepRunner(opts).run(sweep);
 
     expectBitwiseEqual(results.at("a", "Linux"),
-                       runOnce(cfg, Technique::Linux));
+                       runOnce(cfg, TechniqueSpec{"Linux"}));
     expectBitwiseEqual(results.at("b", "SchedTask"),
-                       runOnce(cfg, Technique::SchedTask));
+                       runOnce(cfg, TechniqueSpec{"SchedTask"}));
 }
 
 TEST(SweepCross, BuildsFullMatrixWithBaselines)
 {
     const Sweep sweep = Sweep::cross(
-        {"Find", "Iscp"}, {Technique::SchedTask, Technique::SLICC},
+        {"Find", "Iscp"},
+        {TechniqueSpec{"SchedTask"}, TechniqueSpec{"SLICC"}},
         [](const std::string &bench) { return smallConfig(bench); });
     // 2 rows x (2 techniques + 1 shared baseline per row).
     EXPECT_EQ(sweep.size(), 6u);
@@ -239,7 +240,7 @@ TEST(SweepFailure, SerialStopsDispatchAfterFirstFailure)
     // burning CPU on every remaining run after a failure).
     Sweep sweep;
     for (const std::string row : {"a", "b", "c", "d"})
-        sweep.add(row, "Linux", smallConfig(), Technique::Linux);
+        sweep.add(row, "Linux", smallConfig(), TechniqueSpec{"Linux"});
 
     std::atomic<unsigned> starts{0};
     SweepOptions opts;
@@ -266,8 +267,8 @@ TEST(SweepFailure, AggregatesEveryConcurrentFailure)
     // Two workers claim both runs before either fails; the old
     // runner reported only whichever failure it noticed first.
     Sweep sweep;
-    sweep.add("a", "Linux", smallConfig(), Technique::Linux);
-    sweep.add("b", "Linux", smallConfig(), Technique::Linux);
+    sweep.add("a", "Linux", smallConfig(), TechniqueSpec{"Linux"});
+    sweep.add("b", "Linux", smallConfig(), TechniqueSpec{"Linux"});
 
     std::latch both_claimed(2);
     SweepOptions opts;
@@ -291,7 +292,7 @@ TEST(SweepFailure, AggregatesEveryConcurrentFailure)
 TEST(SweepFailureDeath, RunFatalNamesFailedLabel)
 {
     Sweep sweep;
-    sweep.add("row", "bad", smallConfig(), Technique::Linux);
+    sweep.add("row", "bad", smallConfig(), TechniqueSpec{"Linux"});
     SweepOptions opts;
     opts.jobs = 1;
     opts.progress = false;
@@ -308,7 +309,7 @@ TEST(SweepReportDeath, MissingRunResultNamesLabel)
     // (or worse, relied on map::at); the report must say which run
     // is missing from which report path.
     Sweep sweep;
-    sweep.add("row", "run", smallConfig(), Technique::Linux);
+    sweep.add("row", "run", smallConfig(), TechniqueSpec{"Linux"});
     const SweepResults empty;
     const SweepReport report(sweep, empty);
     EXPECT_DEATH(
@@ -321,7 +322,7 @@ TEST(SweepReportDeath, MissingBaselineResultNamesRun)
 {
     Sweep sweep;
     sweep.addComparison("row", "SchedTask", smallConfig(),
-                        Technique::SchedTask);
+                        TechniqueSpec{"SchedTask"});
     const SweepResults empty;
     const SweepReport report(sweep, empty);
     EXPECT_DEATH((void)report.appPerfChange(),
@@ -353,7 +354,7 @@ TEST(SweepTrace, TraceDirWritesValidFilesWithoutPerturbingResults)
     const auto build = [] {
         Sweep sweep;
         sweep.add("row", "SchedTask", smallConfig(),
-                  Technique::SchedTask);
+                  TechniqueSpec{"SchedTask"});
         return sweep;
     };
     SweepOptions plain;

@@ -75,13 +75,6 @@ if has_preset default && has_preset checked; then
         >"$tmp/checked.out"
     diff -u "$tmp/default.out" "$tmp/checked.out"
     diff -r "$tmp/default" "$tmp/checked"
-    # The scalar kernels must be bit-identical to the dispatched
-    # vector path — the SIMD layer's core guarantee.
-    SCHEDTASK_SIMD=scalar SCHEDTASK_TRACE_DIR="$tmp/scalar" \
-        ./build-default/bench/fig07_app_performance --fast \
-        >"$tmp/scalar.out"
-    diff -u "$tmp/default.out" "$tmp/scalar.out"
-    diff -r "$tmp/default" "$tmp/scalar"
     # The L0 presence filter must be output-invariant too: force it
     # off on both builds and diff against the filtered default run.
     SCHEDTASK_L0=off SCHEDTASK_TRACE_DIR="$tmp/default-nol0" \
@@ -95,19 +88,13 @@ if has_preset default && has_preset checked; then
     diff -u "$tmp/default.out" "$tmp/checked-nol0.out"
     diff -r "$tmp/default" "$tmp/checked-nol0"
     echo "report and traces bitwise identical" \
-         "(incl. forced scalar and L0 filter off)"
+         "(incl. L0 filter off)"
 fi
 
 if [ "$BENCH" -eq 1 ]; then
-    # Twice — forced scalar, then auto dispatch — so a regression in
-    # either the vector kernels or the dispatch itself cannot hide.
-    step "perf gate smoke, forced scalar (generous threshold)"
-    SCHEDTASK_SIMD=scalar PERF_GATE_THRESHOLD="${PERF_GATE_THRESHOLD:-50}" \
-        tools/perf_gate.sh
-    step "perf gate smoke, auto dispatch (generous threshold)"
-    SCHEDTASK_SIMD=auto PERF_GATE_THRESHOLD="${PERF_GATE_THRESHOLD:-50}" \
-        tools/perf_gate.sh
-    # Third leg with the L0 presence filter forced off: the exact
+    step "perf gate smoke (generous threshold)"
+    PERF_GATE_THRESHOLD="${PERF_GATE_THRESHOLD:-50}" tools/perf_gate.sh
+    # Second leg with the L0 presence filter forced off: the exact
     # memory-walk path must stay exercised (and not rot) even though
     # the filtered path is the production default. The committed
     # baseline was measured with the filter on, so only a very

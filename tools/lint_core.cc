@@ -646,76 +646,6 @@ checkSty01(const std::string &rel_path, const Scrubbed &sc,
     }
 }
 
-void
-checkReg01(const std::string &rel_path, const Scrubbed &sc,
-           const std::vector<Tok> &toks, std::vector<Diag> &diags)
-{
-    // experiment.cc is the one sanctioned enum <-> registry shim.
-    if (rel_path == "src/harness/experiment.cc")
-        return;
-    for (const Tok &t : toks) {
-        if (t.text != "switch")
-            continue;
-        if (nextNonSpace(sc.text, t.end) != '(')
-            continue;
-        const std::size_t open = sc.text.find('(', t.end);
-        int depth = 0;
-        std::size_t close = open;
-        for (std::size_t p = open; p < sc.text.size(); ++p) {
-            if (sc.text[p] == '(')
-                ++depth;
-            else if (sc.text[p] == ')') {
-                --depth;
-                if (depth == 0) {
-                    close = p;
-                    break;
-                }
-            }
-        }
-        if (close == open)
-            continue;
-        const std::string cond =
-            sc.text.substr(open + 1, close - open - 1);
-        for (const Tok &ct : tokenize(cond)) {
-            if (ct.text == "Technique" || ct.text == "technique") {
-                diags.push_back(Diag{
-                    rel_path, t.line, "REG-01",
-                    "switch over a Technique outside the "
-                    "harness/experiment.cc shim; dispatch through "
-                    "the SchedulerRegistry by name instead"});
-                break;
-            }
-        }
-    }
-}
-
-void
-checkSimd01(const std::string &rel_path, const std::vector<Tok> &toks,
-            std::vector<Diag> &diags)
-{
-    // src/common/simd.hh is the one sanctioned home for vector
-    // intrinsics: the scalar/SIMD bit-equivalence is only auditable
-    // (and testable, tests/test_simd.cc) while the ISA-specific
-    // surface stays in a single file.
-    if (rel_path == "src/common/simd.hh")
-        return;
-    for (const Tok &t : toks) {
-        const std::string &s = t.text;
-        const bool intrinsic = startsWith(s, "_mm_")
-            || startsWith(s, "_mm256_") || startsWith(s, "_mm512_")
-            || startsWith(s, "__m128") || startsWith(s, "__m256")
-            || startsWith(s, "__m512") || s == "immintrin"
-            || startsWith(s, "__AVX") || startsWith(s, "__SSE");
-        if (!intrinsic)
-            continue;
-        diags.push_back(Diag{
-            rel_path, t.line, "SIMD-01",
-            "vector intrinsic or ISA feature macro '" + s
-                + "' outside src/common/simd.hh; add a kernel to "
-                  "the simd layer instead"});
-    }
-}
-
 } // namespace
 
 std::vector<Diag>
@@ -730,8 +660,6 @@ lintSource(const std::string &rel_path, const std::string &content)
     checkSafe01(rel_path, sc, toks, raw);
     checkSafe02(rel_path, sc, toks, raw);
     checkSty01(rel_path, sc, raw);
-    checkReg01(rel_path, sc, toks, raw);
-    checkSimd01(rel_path, toks, raw);
 
     std::vector<Diag> diags = sc.pragmaDiags;
     for (Diag &d : raw) {

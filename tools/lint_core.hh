@@ -20,12 +20,6 @@
  *   SAFE-02 abort() instead of SCHEDTASK_PANIC; redundant `virtual`
  *           on an `override` declaration
  *   STY-01  header guards must be SCHEDTASK_<PATH>_HH
- *   REG-01  `switch` over a Technique value outside the sanctioned
- *           shim (src/harness/experiment.cc); techniques dispatch
- *           through the SchedulerRegistry by name
- *   SIMD-01 vector intrinsics (_mm..., __m...) or ISA feature
- *           macros (__AVX..., __SSE...) outside src/common/simd.hh,
- *           the one sanctioned kernel layer
  *   LINT-00 a `lint:allow` pragma with no reason text
  *
  * Any rule except LINT-00 can be silenced for one line with

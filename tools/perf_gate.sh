@@ -30,10 +30,9 @@
 # baseline (--update) whenever the hardware or the workload shape
 # changes.
 #
-# The SCHEDTASK_SIMD override propagates to micro_perf, so CI runs
-# the smoke twice — forced scalar and auto dispatch — to keep a
-# dispatch regression from hiding behind the vector path (see
-# tools/check.sh --bench).
+# The SCHEDTASK_L0 override propagates to micro_perf, so
+# tools/check.sh --bench runs the smoke a second time with the L0
+# presence filter off to keep the unfiltered memory path exercised.
 
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -64,11 +63,9 @@ else
     OUT="${PERF_GATE_OUT:-$tmp/bench.json}"
 fi
 
-SIMD="${SCHEDTASK_SIMD:-auto}"
 L0="${SCHEDTASK_L0:-auto}"
-step "run micro_perf (repeat=$REPEAT, best wall time kept," \
-     "simd=$SIMD, l0=$L0)"
-SCHEDTASK_SIMD="$SIMD" SCHEDTASK_L0="$L0" \
+step "run micro_perf (repeat=$REPEAT, best wall time kept, l0=$L0)"
+SCHEDTASK_L0="$L0" \
     ./build-default/bench/micro_perf --repeat "$REPEAT" --out "$OUT"
 
 if [ "$UPDATE" -eq 1 ]; then
