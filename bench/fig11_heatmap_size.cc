@@ -37,27 +37,16 @@ const std::vector<unsigned> widths = {128, 256, 512, 1024, 2048};
 /**
  * Mean Kendall tau-b between the Bloom-filter ranking and the
  * ranking over the *actual touched page sets* (the paper compares
- * against "the actual set of i-cache line addresses").
+ * against "the actual set of i-cache line addresses"), read from a
+ * SchedTask run right after its measured epoch.
  */
 double
-rankingQuality(const std::string &bench, unsigned bits)
+rankingQuality(const Machine &machine, const Scheduler &sched)
 {
-    BenchmarkSuite suite;
-    Workload workload = Workload::buildSingle(suite, bench, 2.0, 32);
-    MachineParams mp;
-    mp.numCores = 32;
-    mp.heatmapBits = bits;
-    mp.trackExactPages = true;
-    SchedTaskScheduler sched;
-    Machine machine(mp, HierarchyParams::paperDefault(), suite,
-                    workload, sched);
-    // Align the exact-page window with the stats table's window:
-    // TAlloc aggregates exactly the final epoch.
-    machine.run(4 * mp.epochCycles);
-    machine.clearExactPages();
-    machine.run(mp.epochCycles);
-
-    const StatsTable &stats = sched.talloc().systemStats();
+    const StatsTable &stats =
+        dynamic_cast<const SchedTaskScheduler &>(sched)
+            .talloc()
+            .systemStats();
     const OverlapTable bloom = OverlapTable::fromHeatmaps(stats);
     const auto &exact_pages = machine.exactPagesByType();
 
@@ -109,19 +98,29 @@ main()
         cols.push_back(std::to_string(b) + " bits");
     SeriesMatrix tau(benchmarks, cols);
 
-    // The tau study drives Machine by hand (it needs the stats table
-    // and the exact page sets mid-run), so it parallelizes over the
-    // benchmark x width grid rather than through a Sweep.
-    parallelFor(benchmarks.size() * widths.size(),
-                [&](std::size_t i) {
-                    const std::string &bench =
-                        benchmarks[i / widths.size()];
-                    const unsigned b = widths[i % widths.size()];
-                    tau.set(bench, std::to_string(b) + " bits",
-                            rankingQuality(bench, b));
-                    std::fprintf(stderr, ".");
-                });
-    std::fprintf(stderr, " tau grid done\n");
+    // One SchedTask run per benchmark x width: 4 warmup epochs, then
+    // one measured epoch whose exact page sets line up with the stats
+    // table's window (TAlloc aggregates exactly the final epoch). Each
+    // observer writes only its own cell of `tau`.
+    Sweep tau_sweep;
+    tau_sweep.deriveSeeds(false);
+    for (const std::string &bench : benchmarks) {
+        for (std::size_t w = 0; w < widths.size(); ++w) {
+            ExperimentConfig cfg;
+            cfg.parts = {{bench, 2.0}};
+            cfg.withEpochs(4, 1).withHeatmapBits(widths[w]);
+            cfg.machine.trackExactPages = true;
+            const std::string &col = cols[w];
+            tau_sweep.add(bench, col, cfg, TechniqueSpec{"SchedTask"})
+                .observe(RunObserver{
+                    [](Machine &machine) { machine.clearExactPages(); },
+                    [&tau, &bench, &col](const Machine &machine,
+                                         const Scheduler &sched) {
+                        tau.set(bench, col, rankingQuality(machine, sched));
+                    }});
+        }
+    }
+    SweepRunner().run(tau_sweep);
     std::printf("%s\n", tau.render("benchmark", 2).c_str());
 
     printHeader("Section 6.5: mean SchedTask throughput benefit (%) "

@@ -15,8 +15,6 @@
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
 #include "harness/sweep.hh"
-#include "sched/linux_sched.hh"
-#include "sim/machine.hh"
 #include "stats/table.hh"
 #include "workload/benchmarks.hh"
 
@@ -62,25 +60,23 @@ main()
     TextTable table({"benchmark", "e1-2", "e2-3", "e3-4", "e4-5",
                      "e5-6", "e6-7", "e7-8", "e8-9", "e9-10"});
 
-    // The similarity study needs the per-epoch breakup series, so it
-    // drives Machine by hand; parallelFor spreads the benchmarks
-    // over worker threads and the rows land in suite order.
-    const auto &benchmarks = BenchmarkSuite::benchmarkNames();
-    std::vector<std::vector<std::string>> rows(benchmarks.size());
-    parallelFor(benchmarks.size(), [&](std::size_t i) {
-        const std::string &bench = benchmarks[i];
-        BenchmarkSuite suite;
-        Workload workload =
-            Workload::buildSingle(suite, bench, 2.0, 32);
-        MachineParams mp;
-        mp.numCores = 32;
-        mp.recordEpochBreakups = true;
-        LinuxScheduler sched;
-        Machine machine(mp, HierarchyParams::paperDefault(), suite,
-                        workload, sched);
-        machine.run(epochs * mp.epochCycles);
+    // One Linux run per benchmark, measured from the first epoch on
+    // (no warmup: the bring-up epochs are the point), with the
+    // per-epoch breakup series recorded.
+    ExperimentConfig cfg;
+    cfg.withEpochs(0, epochs);
+    cfg.machine.recordEpochBreakups = true;
+    Sweep sweep;
+    sweep.deriveSeeds(false);
+    for (const std::string &bench : BenchmarkSuite::benchmarkNames()) {
+        cfg.parts = {{bench, 2.0}};
+        sweep.add(bench, "Linux", cfg, TechniqueSpec{"Linux"});
+    }
+    const SweepResults results = SweepRunner().run(sweep);
 
-        const auto &series = machine.metricsSnapshot().epochTypeInsts;
+    for (const std::string &bench : sweep.rows()) {
+        const auto &series =
+            results.at(bench, "Linux").metrics.epochTypeInsts;
         std::vector<std::string> cells = {bench};
         for (unsigned e = 0; e + 1 < epochs; ++e) {
             cells.push_back(
@@ -89,11 +85,8 @@ main()
                           epochSimilarity(series[e], series[e + 1]), 3)
                     : "-");
         }
-        rows[i] = std::move(cells);
-        std::fprintf(stderr, "%s done\n", bench.c_str());
-    });
-    for (std::vector<std::string> &cells : rows)
         table.addRow(std::move(cells));
+    }
 
     std::printf("%s\n", table.render().c_str());
     std::printf("Paper: similarity rises through bring-up and "

@@ -13,9 +13,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <vector>
 
+#include "common/parse_num.hh"
 #include "core/page_heatmap.hh"
 #include "stats/table.hh"
 #include "workload/sf_catalog.hh"
@@ -25,8 +26,14 @@ using namespace schedtask;
 int
 main(int argc, char **argv)
 {
-    const unsigned bits =
-        argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 512;
+    const std::optional<std::uint64_t> bits_arg =
+        argc > 1 ? parseUnsigned(argv[1]) : std::uint64_t{512};
+    if (!bits_arg || !PageHeatmap::validWidth(*bits_arg)) {
+        std::fprintf(stderr, "heatmap_playground: bad width '%s' (want a "
+                             "power of two in [64, 65536])\n", argv[1]);
+        return 2;
+    }
+    const unsigned bits = static_cast<unsigned>(*bits_arg);
 
     SfCatalog catalog;
     const std::vector<const char *> handlers = {

@@ -1,23 +1,23 @@
 /**
  * @file
  * Reconstructing the paper's Figure 5 (the timeline of a thread's
- * execution): attach a tracer to a running machine and print one
- * thread's SuperFunction lifecycle — dispatches, migrations between
- * cores at SuperFunction boundaries, blocks on devices, wakeups by
- * bottom halves.
+ * execution): attach a tracer to a run's measured window through a
+ * RunObserver and print one thread's SuperFunction lifecycle —
+ * dispatches, migrations between cores at SuperFunction boundaries,
+ * blocks on devices, wakeups by bottom halves.
  *
  * Run: ./build/examples/trace_inspection [benchmark] [tid]
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 
-#include "core/schedtask_sched.hh"
+#include "common/parse_num.hh"
 #include "harness/reporting.hh"
+#include "harness/sweep.hh"
 #include "sim/machine.hh"
 #include "sim/sf_trace.hh"
-#include "workload/benchmarks.hh"
 
 using namespace schedtask;
 
@@ -25,28 +25,39 @@ int
 main(int argc, char **argv)
 {
     const std::string bench = argc > 1 ? argv[1] : "Apache";
-    const ThreadId tid =
-        argc > 2 ? static_cast<ThreadId>(std::atoi(argv[2])) : 0;
+    const std::optional<std::uint64_t> tid_arg =
+        argc > 2 ? parseUnsigned(argv[2]) : std::uint64_t{0};
+    if (!tid_arg || *tid_arg >= invalidThread) {
+        std::fprintf(stderr, "trace_inspection: bad thread id '%s'\n",
+                     argv[2]);
+        return 2;
+    }
+    const ThreadId tid = static_cast<ThreadId>(*tid_arg);
 
     printHeader("SuperFunction timeline (" + bench + ", thread "
                 + std::to_string(tid) + ", SchedTask)");
 
-    BenchmarkSuite suite;
-    Workload workload = Workload::buildSingle(suite, bench, 1.0, 8);
-    MachineParams mp;
-    mp.numCores = 8;
-    mp.epochCycles = 60000;
-    SchedTaskScheduler sched;
-    Machine machine(mp, HierarchyParams::paperDefault(), suite,
-                    workload, sched);
-
     // Warm up so TAlloc has an allocation, then trace two epochs.
-    machine.run(3 * mp.epochCycles);
+    // Event type names point into the run's SF catalog, so the
+    // timeline is rendered before the run ends.
+    ExperimentConfig cfg;
+    cfg.parts = {{bench, 1.0}};
+    cfg.withCores(8).withEpochCycles(60000).withEpochs(3, 2);
     SfTracer tracer(1 << 18);
-    machine.attachTracer(&tracer);
-    machine.run(2 * mp.epochCycles);
+    std::string timeline;
+    Sweep sweep;
+    sweep.deriveSeeds(false);
+    sweep.add(bench, "SchedTask", cfg, TechniqueSpec{"SchedTask"})
+        .observe(RunObserver{
+            [&](Machine &machine) { machine.attachTracer(&tracer); },
+            [&](const Machine &, const Scheduler &) {
+                timeline = tracer.render(tid, 80);
+            }});
+    SweepOptions options;
+    options.progress = false;
+    SweepRunner(options).run(sweep);
 
-    std::printf("%s\n", tracer.render(tid, 80).c_str());
+    std::printf("%s\n", timeline.c_str());
     std::printf("(%llu events recorded in total; showing thread %u "
                 "only)\n",
                 static_cast<unsigned long long>(

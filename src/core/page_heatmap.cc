@@ -11,8 +11,7 @@ namespace schedtask
 PageHeatmap::PageHeatmap(unsigned bits)
     : bits_(bits)
 {
-    SCHEDTASK_ASSERT(bits >= 64 && bits <= 65536
-                         && (bits & (bits - 1)) == 0,
+    SCHEDTASK_ASSERT(validWidth(bits),
                      "heatmap width must be a power of two in [64, 65536], "
                      "got ", bits);
     words_.resize(bits / 64, 0);

@@ -40,6 +40,13 @@ class PageHeatmap
      */
     explicit PageHeatmap(unsigned bits = 512);
 
+    /** True for the widths the constructor accepts. */
+    static constexpr bool
+    validWidth(std::uint64_t bits)
+    {
+        return bits >= 64 && bits <= 65536 && (bits & (bits - 1)) == 0;
+    }
+
     /** The paper's PFN hash (sum of six 9-bit-stride shifts). */
     static std::uint64_t hashPfn(Addr pfn);
 

@@ -95,7 +95,8 @@ RunResult::migrationsPerBillionInsts() const
 }
 
 RunResult
-runWithScheduler(const ExperimentConfig &config, Scheduler &scheduler)
+runWithScheduler(const ExperimentConfig &config, Scheduler &scheduler,
+                 const RunObserver &observer)
 {
     // A fresh suite per run keeps the region layout and all RNG
     // streams identical across techniques.
@@ -121,8 +122,12 @@ runWithScheduler(const ExperimentConfig &config, Scheduler &scheduler)
     machine.run(static_cast<Cycles>(config.warmupEpochs)
                 * mp.epochCycles);
     machine.resetStats();
+    if (observer.beforeMeasure)
+        observer.beforeMeasure(machine);
     machine.run(static_cast<Cycles>(config.measureEpochs)
                 * mp.epochCycles);
+    if (observer.afterMeasure)
+        observer.afterMeasure(machine, scheduler);
 
     RunResult result;
     result.metrics = machine.metricsSnapshot();

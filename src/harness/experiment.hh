@@ -10,6 +10,7 @@
 #ifndef SCHEDTASK_HARNESS_EXPERIMENT_HH
 #define SCHEDTASK_HARNESS_EXPERIMENT_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -134,13 +135,6 @@ struct ExperimentConfig
     }
 
     ExperimentConfig &
-    withSchedTask(const SchedTaskParams &params)
-    {
-        schedTask = params;
-        return *this;
-    }
-
-    ExperimentConfig &
     withSteal(StealPolicy policy)
     {
         schedTask.stealPolicy = policy;
@@ -227,9 +221,24 @@ struct RunResult
 RunResult runOnce(const ExperimentConfig &config,
                   const TechniqueSpec &spec);
 
-/** Run with a caller-provided scheduler (custom schedulers). */
+/**
+ * Pure-observation hooks on one run (attach an SfTracer, export the
+ * stats dump, read TAlloc's tables). `beforeMeasure` runs after
+ * resetStats(), right before the measured window; `afterMeasure`
+ * right after it. Either may be empty.
+ */
+struct RunObserver
+{
+    std::function<void(Machine &)> beforeMeasure;
+    std::function<void(const Machine &, const Scheduler &)>
+        afterMeasure;
+};
+
+/** Run with a caller-provided scheduler: warmup, resetStats(),
+ *  measured window. Every simulation goes through here. */
 RunResult runWithScheduler(const ExperimentConfig &config,
-                           Scheduler &scheduler);
+                           Scheduler &scheduler,
+                           const RunObserver &observer = {});
 
 /** Percent change helper: 100 * (v - base) / base. */
 double percentChange(double base, double value);
@@ -253,31 +262,6 @@ struct Comparison
     {
         return percentChange(baseline.appPerformance(),
                              technique.appPerformance());
-    }
-
-    double iHitAppChange() const
-    {
-        return pointChange(baseline.iHitApp, technique.iHitApp);
-    }
-
-    double iHitOsChange() const
-    {
-        return pointChange(baseline.iHitOs, technique.iHitOs);
-    }
-
-    double iHitAllChange() const
-    {
-        return pointChange(baseline.iHitAll, technique.iHitAll);
-    }
-
-    double dHitAppChange() const
-    {
-        return pointChange(baseline.dHitApp, technique.dHitApp);
-    }
-
-    double dHitOsChange() const
-    {
-        return pointChange(baseline.dHitOs, technique.dHitOs);
     }
 };
 

@@ -260,6 +260,16 @@ Sweep::addVersus(const std::string &row, const std::string &col,
     return *this;
 }
 
+Sweep &
+Sweep::observe(RunObserver observer)
+{
+    if (requests_.empty() || requests_.back().isBaseline)
+        SCHEDTASK_FATAL("Sweep::observe() needs a technique run added "
+                        "before it");
+    requests_.back().observer = std::move(observer);
+    return *this;
+}
+
 Sweep
 Sweep::cross(const std::vector<std::string> &rows,
              const std::vector<TechniqueSpec> &techniques,
@@ -415,7 +425,7 @@ SweepRunner::runPartial(const Sweep &sweep,
                 const std::unique_ptr<Scheduler> scheduler =
                     makeScheduler(req.spec, cfg.schedTask);
                 const RunResult result =
-                    runWithScheduler(cfg, *scheduler);
+                    runWithScheduler(cfg, *scheduler, req.observer);
                 if (!trace_dir.empty())
                     writeRunTraces(trace_dir, req, result);
 
@@ -473,37 +483,6 @@ SweepRunner::run(const Sweep &sweep) const
         SCHEDTASK_FATAL(msg);
     }
     return results;
-}
-
-void
-parallelFor(std::size_t count,
-            const std::function<void(std::size_t)> &fn, unsigned jobs)
-{
-    if (count == 0)
-        return;
-    unsigned workers = jobs == 0 ? defaultJobs() : jobs;
-    if (workers > count)
-        workers = static_cast<unsigned>(count);
-
-    std::atomic<std::size_t> next{0};
-    auto body = [&]() {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= count)
-                return;
-            fn(i);
-        }
-    };
-    if (workers <= 1) {
-        body();
-        return;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t)
-        pool.emplace_back(body);
-    for (std::thread &t : pool)
-        t.join();
 }
 
 SeriesMatrix

@@ -20,6 +20,10 @@
  * a LinuxScheduler run can observe; SchedTask-only knobs and the
  * heatmap width are excluded). Within a row, all requests whose
  * fingerprints match share one Linux run.
+ *
+ * Observers: a run that needs the live Machine (an SF trace, the
+ * stats dump, TAlloc's tables) gets a RunObserver from
+ * Sweep::observe(); deduplicated baselines never carry one.
  */
 
 #ifndef SCHEDTASK_HARNESS_SWEEP_HH
@@ -64,6 +68,10 @@ struct RunRequest
 
     /** True for the deduplicated Linux baseline runs themselves. */
     bool isBaseline = false;
+
+    /** Hooks around the measured window; called on the worker
+     *  thread that executes the run. */
+    RunObserver observer;
 
     /** Result key: "row/col". */
     std::string label() const { return row + "/" + col; }
@@ -122,6 +130,11 @@ class Sweep
     Sweep &addVersus(const std::string &row, const std::string &col,
                      ExperimentConfig config, const TechniqueSpec &spec,
                      const ExperimentConfig &baseline_config);
+
+    /** Attach `observer` to the run added last (the technique of
+     *  an addComparison()/addVersus(), never its baseline); fatal
+     *  when there is none. */
+    Sweep &observe(RunObserver observer);
 
     /**
      * The recurring figure layout: one row per benchmark, one
@@ -239,15 +252,6 @@ class SweepRunner
   private:
     SweepOptions options_;
 };
-
-/**
- * Deterministic parallel-for over [0, count): each index runs
- * exactly once, on one of `jobs` threads (0 = defaultJobs()).
- * The callback must only write to index-private state.
- */
-void parallelFor(std::size_t count,
-                 const std::function<void(std::size_t)> &fn,
-                 unsigned jobs = 0);
 
 /**
  * Fills SeriesMatrix views from a completed sweep: one row per

@@ -52,7 +52,8 @@ struct SfEvent
     ThreadId tid = invalidThread;
     SfType type;
     std::uint64_t sfId = 0;
-    /** Type name if known (stable string from the catalog). */
+    /** Type name if known; points into the run's SF catalog, so it
+     *  dangles once the run's BenchmarkSuite is destroyed. */
     const char *typeName = "";
 };
 

@@ -429,6 +429,14 @@ TEST_F(LintCliTest, RootScansOnlySourceTrees)
     EXPECT_EQ(out.find("ignored.cc"), std::string::npos);
 }
 
+TEST_F(LintCliTest, RootScansExampleCppFiles)
+{
+    write("examples/x.cpp", kDirtySource);
+    EXPECT_EQ(run({"--root", dir_.string()}), 1);
+    EXPECT_NE(out_.str().find("examples/x.cpp:1: [SAFE-01]"),
+              std::string::npos);
+}
+
 TEST_F(LintCliTest, RootReportsRepoRelativePaths)
 {
     write("tests/dirty.cc", kDirtySource);

@@ -15,11 +15,15 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
 #include "harness/trace_export.hh"
+#include "sim/machine.hh"
+#include "sim/sf_trace.hh"
+#include "stats/stat_set.hh"
 
 using namespace schedtask;
 
@@ -35,16 +39,25 @@ smallConfig(const std::string &bench = "Find")
         .withEpochs(1, 1);
 }
 
-/** The per-run fields that must match bit-for-bit. */
+/** Every result field must match bit-for-bit (the epoch trace
+ *  samples aside: tracing is what some callers switch on). */
 void
 expectBitwiseEqual(const RunResult &a, const RunResult &b)
 {
-    EXPECT_EQ(a.metrics.instsRetired, b.metrics.instsRetired);
-    EXPECT_EQ(a.metrics.appEvents, b.metrics.appEvents);
-    EXPECT_EQ(a.metrics.migrations, b.metrics.migrations);
-    EXPECT_EQ(a.iHitAll, b.iHitAll);
-    EXPECT_EQ(a.dHitApp, b.dHitApp);
-    EXPECT_EQ(a.idlePercent(), b.idlePercent());
+    const auto fields = [](const RunResult &r) {
+        const SimMetrics &m = r.metrics;
+        return std::tuple(
+            m.cycles, m.instsRetired,
+            std::vector<std::uint64_t>(std::begin(m.instsByCategory),
+                                       std::end(m.instsByCategory)),
+            m.overheadInsts, m.appEvents, m.appEventsByPart,
+            m.instsByPart, m.idleCycles, m.perCoreIdleCycles,
+            m.migrations, m.irqCount, m.irqLatencySum, m.perThreadInsts,
+            m.epochTypeInsts, r.numCores, r.numThreads, r.freqGhz,
+            r.iHitApp, r.iHitOs, r.iHitAll, r.dHitApp, r.dHitOs,
+            r.itlbHit, r.dtlbHit);
+    };
+    EXPECT_EQ(fields(a), fields(b));
 }
 
 } // namespace
@@ -219,12 +232,57 @@ TEST(SweepFluent, AggregateInitStillWorks)
     EXPECT_EQ(cfg.parts.size(), 1u);
 }
 
-TEST(SweepParallelFor, CoversEveryIndexOnce)
+TEST(SweepObserver, PureObservationOnTheTechniqueRunOnly)
 {
-    std::vector<std::atomic<int>> hits(64);
-    parallelFor(hits.size(), [&](std::size_t i) { ++hits[i]; }, 4);
-    for (const std::atomic<int> &h : hits)
-        EXPECT_EQ(h.load(), 1);
+    ExperimentConfig cfg = smallConfig();
+    cfg.machine.recordEpochBreakups = true;
+    Sweep plain;
+    plain.addComparison("row", "SchedTask", cfg, TechniqueSpec{"SchedTask"});
+
+    // jobs = 1 runs the baseline and the technique one after the
+    // other, so `running` names the run each hook call belongs to.
+    std::string running;
+    std::vector<std::string> calls;
+    SfTracer tracer;
+    StatSet stats;
+    Sweep observed = plain;
+    observed.observe(RunObserver{
+        [&](Machine &machine) {
+            calls.push_back("before " + running);
+            machine.attachTracer(&tracer);
+        },
+        [&](const Machine &machine, const Scheduler &) {
+            calls.push_back("after " + running);
+            machine.exportStats(stats);
+        }});
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.progress = false;
+    opts.onRunStart = [&](const RunRequest &req) {
+        running = req.label();
+    };
+
+    const SweepResults with = SweepRunner(opts).run(observed);
+    const SweepResults without = SweepRunner(opts).run(plain);
+
+    EXPECT_EQ(calls, (std::vector<std::string>{"before row/SchedTask",
+                                               "after row/SchedTask"}));
+    EXPECT_GT(tracer.totalRecorded(), 0u);
+    EXPECT_NE(stats.dump().find("sim.instsRetired"), std::string::npos);
+    ASSERT_EQ(with.size(), 2u);
+    for (const RunRequest &req : observed.requests()) {
+        SCOPED_TRACE(req.label());
+        expectBitwiseEqual(with.at(req.label()), without.at(req.label()));
+    }
+}
+
+TEST(SweepObserverDeath, NeedsATechniqueRunBeforeIt)
+{
+    Sweep empty;
+    EXPECT_DEATH(empty.observe({}), "needs a technique run");
+    Sweep baseline_last;
+    baseline_last.addBaseline("row", smallConfig());
+    EXPECT_DEATH(baseline_last.observe({}), "needs a technique run");
 }
 
 TEST(SweepResultsDeath, UnknownLabelPanics)

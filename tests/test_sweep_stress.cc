@@ -135,12 +135,3 @@ TEST(SweepStress, ConcurrentTraceWritesAndLogToggles)
     }
     std::filesystem::remove_all(dir);
 }
-
-TEST(SweepStress, ParallelForUnderContention)
-{
-    std::vector<std::atomic<int>> hits(512);
-    parallelFor(hits.size(),
-                [&](std::size_t i) { ++hits[i]; }, 8);
-    for (const std::atomic<int> &h : hits)
-        EXPECT_EQ(h.load(), 1);
-}

@@ -8,8 +8,9 @@
 #   * tsan: the SweepRunner stress suite at --jobs 8, so TSan
 #     certifies the thread pool, the logQuiet flag, and the per-run
 #     trace-file writes as race-free.
-#   * checked vs default: a fig07 --fast run under both builds with
-#     tracing on; report and every trace file must be bitwise
+#   * checked vs default: a fig07 --fast run and a schedtask-sim run
+#     with every observer-backed output under both builds with
+#     tracing on; stdout and every trace file must be bitwise
 #     identical, proving the invariant checker is pure observation.
 #
 # With --bench, finishes with the perf gate (tools/perf_gate.sh) at
@@ -87,8 +88,18 @@ if has_preset default && has_preset checked; then
         >"$tmp/checked-nol0.out"
     diff -u "$tmp/default.out" "$tmp/checked-nol0.out"
     diff -r "$tmp/default" "$tmp/checked-nol0"
+    # The CLI with every observer-backed output on: stdout and the
+    # per-run trace files. Each build runs in its own directory with
+    # the same relative --trace-dir, so stdout names the same path.
+    for build in default checked; do
+        mkdir "$tmp/cli-$build"
+        (cd "$tmp/cli-$build" && "$OLDPWD/build-$build/tools/schedtask-sim" \
+            --benchmark Find --fast --cores 8 --compare --stats --json \
+            --viz --sf-trace 3 --trace-dir traces >stdout.txt)
+    done
+    diff -r "$tmp/cli-default" "$tmp/cli-checked"
     echo "report and traces bitwise identical" \
-         "(incl. L0 filter off)"
+         "(incl. L0 filter off and the CLI)"
 fi
 
 if [ "$BENCH" -eq 1 ]; then

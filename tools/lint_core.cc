@@ -701,8 +701,8 @@ runLint(const std::vector<std::string> &args, std::ostream &out,
     }
 
     if (!root.empty() && files.empty()) {
-        static const std::array<const char *, 4> kSubdirs = {
-            "src", "bench", "tools", "tests"};
+        static const std::array<const char *, 5> kSubdirs = {
+            "src", "bench", "tools", "tests", "examples"};
         for (const char *sub : kSubdirs) {
             const fs::path dir = fs::path(root) / sub;
             std::error_code ec;
@@ -714,7 +714,7 @@ runLint(const std::vector<std::string> &args, std::ostream &out,
                     continue;
                 const std::string ext =
                     entry.path().extension().string();
-                if (ext == ".cc" || ext == ".hh")
+                if (ext == ".cc" || ext == ".hh" || ext == ".cpp")
                     files.push_back(entry.path().string());
             }
         }

@@ -58,10 +58,11 @@ std::vector<Diag> lintSource(const std::string &rel_path,
 /**
  * The CLI entry point, separated from main() so tests can drive
  * multi-file invocations in-process. Arguments are everything after
- * argv[0]: either `--root DIR` (lint src/ bench/ tools/ tests/ under
- * DIR) or an explicit list of files. Diagnostics go to `out`, usage
- * and I/O errors to `err`. Returns the process exit code: 0 clean,
- * 1 findings, 2 usage or I/O error.
+ * argv[0]: either `--root DIR` (lint the .cc/.hh/.cpp files of src/
+ * bench/ tools/ tests/ examples/ under DIR) or an explicit list of
+ * files. Diagnostics go to `out`, usage and I/O errors to `err`.
+ * Returns the process exit code: 0 clean, 1 findings, 2 usage or I/O
+ * error.
  */
 int runLint(const std::vector<std::string> &args, std::ostream &out,
             std::ostream &err);

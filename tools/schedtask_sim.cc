@@ -6,53 +6,21 @@
  * headline metrics, optionally a full gem5-style stats dump, epoch
  * telemetry exports and a SuperFunction trace excerpt.
  *
- * Usage:
- *   schedtask-sim [options]
- *     --benchmark NAME   Find|Iscp|Oscp|Apache|DSS|FileSrv|
- *                        MailSrvIO|OLTP (default Apache)
- *     --bag NAME         run a multi-programmed bag (MPW-A..MPW-F)
- *                        instead of a single benchmark
- *     --technique SPEC   NAME[:key=val,...] — any technique in the
- *                        scheduler registry, with per-technique
- *                        options (default SchedTask); see
- *                        --list-techniques
- *     --list-techniques  print registered techniques and their
- *                        option keys, sorted, and exit
- *     --cores N          baseline cores (default 32)
- *     --scale X          workload scale (default 2.0)
- *     --warmup N         warmup epochs (default 4)
- *     --measure N        measured epochs (default 6)
- *     --fast             shortcut for --warmup 1 --measure 2
- *     --heatmap-bits N   Page-heatmap width (default 512)
- *     --steal POLICY     none|same|similar|busiest (default similar)
- *     --seed N           master seed (default 1)
- *     --jobs N           worker threads for --compare (default:
- *                        SCHEDTASK_JOBS or the hardware concurrency)
- *     --stats            print the full stats dump
- *     --json             print the stats dump as JSON
- *     --viz              print per-core utilization bars and
- *                        (SchedTask) the allocation table
- *     --trace [FILE]     write a Chrome trace-event file of the
- *                        measured epochs (default
- *                        schedtask.trace.json); open in Perfetto
- *     --trace-jsonl FILE write epoch telemetry as JSON Lines
- *     --trace-dir DIR    with --compare: per-run trace files under
- *                        DIR (one pair per run label)
- *     --sf-trace [TID]   print a SuperFunction trace excerpt
- *     --compare          also run the Linux baseline and print deltas
- *     --help
- *
- * Invalid numeric flag values (e.g. "--cores xyz") are rejected
- * with exit code 2 instead of being silently read as 0.
+ * Run with --help for the flags. Every flag combination runs one
+ * Sweep; the stats, viz and SF-trace outputs come from an observer
+ * on the technique's run. Invalid flag values (e.g. "--cores xyz",
+ * "--bag MPW-Z", "--heatmap-bits 100") exit 2 before any run starts.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/parse_num.hh"
+#include "core/page_heatmap.hh"
 #include "core/schedtask_sched.hh"
 #include "sched/registry.hh"
 #include "harness/experiment.hh"
@@ -64,6 +32,7 @@
 #include "sim/sf_trace.hh"
 #include "stats/stat_set.hh"
 #include "stats/table.hh"
+#include "workload/benchmarks.hh"
 
 using namespace schedtask;
 
@@ -90,8 +59,8 @@ usage(int code)
         "  --warmup N         warmup epochs (default 4)\n"
         "  --measure N        measured epochs (default 6)\n"
         "  --fast             shortcut for --warmup 1 --measure 2\n"
-        "  --heatmap-bits N   Page-heatmap width (default 512)\n"
-        "  --steal POLICY     none|same|similar|busiest\n"
+        "  --heatmap-bits N   Page-heatmap width, a power of two in\n"
+        "                     [64, 65536] (default 512)\n"
         "  --seed N           master seed (default 1)\n"
         "  --jobs N           worker threads for --compare (default:\n"
         "                     SCHEDTASK_JOBS or the hardware "
@@ -104,10 +73,20 @@ usage(int code)
         "                     measured epochs (default\n"
         "                     schedtask.trace.json); open in Perfetto\n"
         "  --trace-jsonl FILE write epoch telemetry as JSON Lines\n"
-        "  --trace-dir DIR    with --compare: per-run traces in DIR\n"
+        "  --trace-dir DIR    per-run traces in DIR (one pair per run)\n"
         "  --sf-trace [TID]   print a SuperFunction trace excerpt\n"
         "  --compare          also run the Linux baseline\n");
     std::exit(code);
+}
+
+/** "a, b, c" */
+std::string
+joined(const std::vector<std::string> &names)
+{
+    std::string out;
+    for (const std::string &name : names)
+        out += out.empty() ? name : ", " + name;
+    return out;
 }
 
 /**
@@ -125,13 +104,10 @@ parseTechniqueArg(const std::string &text)
         const SchedulerRegistry &reg = SchedulerRegistry::instance();
         const SchedulerInfo *info = reg.find(spec.name);
         if (info == nullptr) {
-            std::string names;
-            for (const std::string &name : reg.names())
-                names += names.empty() ? name : ", " + name;
             std::fprintf(stderr,
                          "schedtask-sim: unknown technique '%s'\n"
                          "registered techniques: %s\n",
-                         spec.name.c_str(), names.c_str());
+                         spec.name.c_str(), joined(reg.names()).c_str());
             std::exit(2);
         }
         spec.name = info->name; // canonical display casing
@@ -146,10 +122,10 @@ parseTechniqueArg(const std::string &text)
 /** Build-and-discard the scheduler so malformed option values are
  *  reported with exit 2 before any simulation starts. */
 void
-probeTechnique(const TechniqueSpec &spec, const SchedTaskParams &st)
+probeTechnique(const TechniqueSpec &spec)
 {
     try {
-        (void)makeScheduler(spec, st);
+        (void)makeScheduler(spec);
     } catch (const SchedulerOptionError &e) {
         std::fprintf(stderr, "schedtask-sim: %s\n", e.what());
         std::exit(2);
@@ -181,19 +157,24 @@ listTechniques()
     std::exit(0);
 }
 
+/** Reject a flag value with exit 2, saying what was expected. */
+[[noreturn]] void
+badValue(const char *flag, const char *text, const std::string &expected)
+{
+    std::fprintf(stderr,
+                 "schedtask-sim: invalid value '%s' for %s (expected %s)\n",
+                 text, flag, expected.c_str());
+    std::exit(2);
+}
+
 /** Strictly parsed unsigned flag value; exits 2 on bad input. */
 std::uint64_t
 requireUnsigned(const char *flag, const char *text, std::uint64_t min)
 {
     const std::optional<std::uint64_t> value = parseUnsigned(text);
-    if (!value || *value < min) {
-        std::fprintf(stderr,
-                     "schedtask-sim: invalid value '%s' for %s "
-                     "(expected an unsigned integer >= %llu)\n",
-                     text, flag,
-                     static_cast<unsigned long long>(min));
-        std::exit(2);
-    }
+    if (!value || *value < min)
+        badValue(flag, text,
+                 "an unsigned integer >= " + std::to_string(min));
     return *value;
 }
 
@@ -202,56 +183,36 @@ double
 requirePositiveDouble(const char *flag, const char *text)
 {
     const std::optional<double> value = parseDouble(text);
-    if (!value || *value <= 0.0) {
-        std::fprintf(stderr,
-                     "schedtask-sim: invalid value '%s' for %s "
-                     "(expected a number > 0)\n",
-                     text, flag);
-        std::exit(2);
-    }
+    if (!value || *value <= 0.0)
+        badValue(flag, text, "a number > 0");
     return *value;
 }
 
-/** The headline-metrics table shared by both run paths. */
-TextTable
-headlineTable(const SimMetrics &m, unsigned num_cores,
-              unsigned num_threads, double freq_ghz)
+/** Flag value that must be one of `valid`; exits 2 listing them. */
+std::string
+requireOneOf(const char *flag, const char *text,
+             const std::vector<std::string> &valid)
 {
-    TextTable table({"metric", "value"});
-    table.addRow({"cores", std::to_string(num_cores)});
-    table.addRow({"threads", std::to_string(num_threads)});
-    table.addRow({"IPC/core", TextTable::num(m.ipc(num_cores), 3)});
-    table.addRow({"Ginsts/s",
-                  TextTable::num(m.instThroughput(freq_ghz) / 1e9,
-                                 2)});
-    table.addRow({"app events/s (x1e6)",
-                  TextTable::num(
-                      m.appEventsPerSecond(freq_ghz) / 1e6, 2)});
-    table.addRow({"idle (%)",
-                  TextTable::num(m.idleFraction(num_cores) * 100.0)});
-    table.addRow({"migrations/1e9 insts",
-                  TextTable::num(
-                      m.instsRetired == 0
-                          ? 0.0
-                          : 1e9 * static_cast<double>(m.migrations)
-                              / static_cast<double>(m.instsRetired),
-                      0)});
-    return table;
+    if (std::find(valid.begin(), valid.end(), text) == valid.end())
+        badValue(flag, text, "one of: " + joined(valid));
+    return text;
 }
 
-StealPolicy
-parseSteal(const std::string &name)
+/** The headline-metrics table. */
+TextTable
+headlineTable(const RunResult &r)
 {
-    if (name == "none")
-        return StealPolicy::None;
-    if (name == "same")
-        return StealPolicy::SameOnly;
-    if (name == "similar")
-        return StealPolicy::SameAndSimilar;
-    if (name == "busiest")
-        return StealPolicy::BusiestFirst;
-    std::fprintf(stderr, "unknown steal policy: %s\n", name.c_str());
-    std::exit(2);
+    TextTable table({"metric", "value"});
+    table.addRow({"cores", std::to_string(r.numCores)});
+    table.addRow({"threads", std::to_string(r.numThreads)});
+    table.addRow({"IPC/core", TextTable::num(r.metrics.ipc(r.numCores), 3)});
+    table.addRow({"Ginsts/s", TextTable::num(r.instThroughput() / 1e9, 2)});
+    table.addRow({"app events/s (x1e6)",
+                  TextTable::num(r.appPerformance() / 1e6, 2)});
+    table.addRow({"idle (%)", TextTable::num(r.idlePercent())});
+    table.addRow({"migrations/1e9 insts",
+                  TextTable::num(r.migrationsPerBillionInsts(), 0)});
+    return table;
 }
 
 } // namespace
@@ -259,20 +220,16 @@ parseSteal(const std::string &name)
 int
 main(int argc, char **argv)
 {
+    ExperimentConfig cfg; // cores, epochs, heatmap width, seed
     std::string benchmark = "Apache";
     std::optional<std::string> bag;
     TechniqueSpec spec; // defaults to SchedTask, no options
-    unsigned cores = 32;
     double scale = 2.0;
-    unsigned warmup = 4, measure = 6;
-    unsigned heatmap_bits = 512;
-    StealPolicy steal = StealPolicy::SameAndSimilar;
-    std::uint64_t seed = 1;
     unsigned jobs = 0;
     bool want_stats = false, want_compare = false;
     bool want_json = false, want_viz = false;
-    std::optional<ThreadId> sf_trace_tid;
-    bool want_sf_trace = false;
+    std::optional<SfTracer> tracer; // --sf-trace
+    ThreadId sf_trace_tid = invalidThread; // all threads
     std::optional<std::string> trace_file;
     std::optional<std::string> trace_jsonl_file;
     std::string trace_dir;
@@ -287,34 +244,36 @@ main(int argc, char **argv)
         if (arg == "--help" || arg == "-h") {
             usage(0);
         } else if (arg == "--benchmark") {
-            benchmark = next();
+            benchmark = requireOneOf("--benchmark", next(),
+                                     BenchmarkSuite::benchmarkNames());
         } else if (arg == "--bag") {
-            bag = next();
+            bag = requireOneOf("--bag", next(), Workload::bagNames());
         } else if (arg == "--technique") {
             spec = parseTechniqueArg(next());
         } else if (arg == "--list-techniques") {
             listTechniques();
         } else if (arg == "--cores") {
-            cores = static_cast<unsigned>(
+            cfg.baselineCores = static_cast<unsigned>(
                 requireUnsigned("--cores", next(), 1));
         } else if (arg == "--scale") {
             scale = requirePositiveDouble("--scale", next());
         } else if (arg == "--warmup") {
-            warmup = static_cast<unsigned>(
+            cfg.warmupEpochs = static_cast<unsigned>(
                 requireUnsigned("--warmup", next(), 0));
         } else if (arg == "--measure") {
-            measure = static_cast<unsigned>(
+            cfg.measureEpochs = static_cast<unsigned>(
                 requireUnsigned("--measure", next(), 1));
         } else if (arg == "--fast") {
-            warmup = 1;
-            measure = 2;
+            cfg.withEpochs(1, 2);
         } else if (arg == "--heatmap-bits") {
-            heatmap_bits = static_cast<unsigned>(
-                requireUnsigned("--heatmap-bits", next(), 1));
-        } else if (arg == "--steal") {
-            steal = parseSteal(next());
+            const char *text = next();
+            const std::optional<std::uint64_t> bits = parseUnsigned(text);
+            if (!bits || !PageHeatmap::validWidth(*bits))
+                badValue("--heatmap-bits", text,
+                         "a power of two in [64, 65536]");
+            cfg.machine.heatmapBits = static_cast<unsigned>(*bits);
         } else if (arg == "--seed") {
-            seed = requireUnsigned("--seed", next(), 0);
+            cfg.machine.seed = requireUnsigned("--seed", next(), 0);
         } else if (arg == "--jobs") {
             jobs = static_cast<unsigned>(
                 requireUnsigned("--jobs", next(), 1));
@@ -335,173 +294,112 @@ main(int argc, char **argv)
         } else if (arg == "--trace-dir") {
             trace_dir = next();
         } else if (arg == "--sf-trace") {
-            want_sf_trace = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-') {
-                const std::uint64_t tid = requireUnsigned(
-                    "--sf-trace", argv[++i], 0);
-                sf_trace_tid = static_cast<ThreadId>(tid);
-            }
+            tracer.emplace(1 << 18);
+            if (i + 1 < argc && argv[i + 1][0] != '-')
+                sf_trace_tid = static_cast<ThreadId>(
+                    requireUnsigned("--sf-trace", argv[++i], 0));
         } else {
             std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
             usage(2);
         }
     }
 
-    ExperimentConfig cfg;
     cfg.parts = bag ? Workload::bagParts(*bag)
                     : std::vector<WorkloadPart>{{benchmark, scale}};
-    cfg.baselineCores = cores;
-    cfg.warmupEpochs = warmup;
-    cfg.measureEpochs = measure;
-    cfg.machine.heatmapBits = heatmap_bits;
-    cfg.machine.seed = seed;
-    cfg.schedTask.stealPolicy = steal;
+    cfg.machine.trace =
+        trace_file.has_value() || trace_jsonl_file.has_value();
 
     // Surface malformed option *values* (keys were checked at parse
     // time) as a usage error before any simulation starts.
-    probeTechnique(spec, cfg.schedTask);
-    const bool is_baseline =
-        SchedulerRegistry::instance().isBaseline(spec.name);
+    probeTechnique(spec);
+    const bool compare = want_compare
+        && !SchedulerRegistry::instance().isBaseline(spec.name);
 
+    // --compare runs the baseline and the technique on concurrent
+    // workers (--jobs or SCHEDTASK_JOBS); both see --seed verbatim.
     const std::string run_name = spec.str();
-    const std::string title =
-        run_name + " on " + (bag ? *bag : benchmark);
-    const bool wants_trace_files =
-        trace_file.has_value() || trace_jsonl_file.has_value();
-    const bool needs_machine = want_stats || want_json || want_viz
-        || want_sf_trace || wants_trace_files;
+    Sweep sweep;
+    sweep.deriveSeeds(false);
+    if (compare)
+        sweep.addComparison("run", run_name, cfg, spec);
+    else
+        sweep.add("run", run_name, cfg, spec);
 
-    if (!needs_machine) {
-        // No stats/viz/trace attachments requested: go through the
-        // sweep API, so --compare runs the Linux baseline and the
-        // technique on concurrent worker threads (--jobs or
-        // SCHEDTASK_JOBS; both runs still see --seed verbatim).
-        // --trace-dir writes one trace-file pair per run label.
-        Sweep sweep;
-        sweep.deriveSeeds(false);
-        if (want_compare && !is_baseline)
-            sweep.addComparison("run", run_name, cfg, spec);
-        else
-            sweep.add("run", run_name, cfg, spec);
-        SweepOptions opts;
-        opts.jobs = jobs;
-        opts.progress = false;
-        opts.traceDir = trace_dir;
-        const SweepResults results = SweepRunner(opts).run(sweep);
-        const RunResult &r = results.at("run", run_name);
+    // What --stats/--json/--viz/--sf-trace read from the live run.
+    StatSet stats;
+    std::optional<std::string> allocation;
+    std::string timeline;
+    sweep.observe(RunObserver{
+        [&](Machine &machine) {
+            if (tracer)
+                machine.attachTracer(&*tracer);
+        },
+        [&](const Machine &machine, const Scheduler &sched) {
+            if (want_stats || want_json)
+                machine.exportStats(stats);
+            if (const auto *st =
+                    dynamic_cast<const SchedTaskScheduler *>(&sched);
+                want_viz && st != nullptr)
+                allocation = allocationView(*st);
+            // Event type names point into the run's SF catalog, so
+            // render before the run ends.
+            if (tracer)
+                timeline = tracer->render(sf_trace_tid, 60);
+        }});
 
-        printHeader(title);
-        std::printf("%s\n",
-                    headlineTable(r.metrics, r.numCores,
-                                  r.numThreads, r.freqGhz)
-                        .render()
-                        .c_str());
-        if (want_compare && !is_baseline) {
-            const RunResult &base =
-                results.at(baselineLabelFor("run", cfg));
-            std::printf("vs Linux baseline: throughput %+0.1f%%, "
-                        "app performance %+0.1f%%\n\n",
-                        percentChange(base.instThroughput(),
-                                      r.instThroughput()),
-                        percentChange(base.appPerformance(),
-                                      r.appPerformance()));
-        }
-        if (!trace_dir.empty()) {
-            std::printf("epoch traces written under %s/\n",
-                        trace_dir.c_str());
-        }
-        return 0;
-    }
+    SweepOptions opts;
+    opts.jobs = jobs;
+    opts.progress = false;
+    opts.traceDir = trace_dir;
+    const SweepResults results = SweepRunner(opts).run(sweep);
+    const RunResult &r = results.at("run", run_name);
 
-    // Build the run by hand so stats/trace can be attached.
-    BenchmarkSuite suite;
-    Workload workload =
-        Workload::build(suite, cfg.parts, cfg.baselineCores);
-    auto sched = makeScheduler(spec, cfg.schedTask);
-    MachineParams mp = cfg.machine;
-    mp.numCores = sched->coresRequired(cfg.baselineCores);
-    sched->configureMachine(mp);
-    mp.trace = wants_trace_files;
-    Machine machine(mp, cfg.hierarchy, suite, workload, *sched);
-
-    machine.run(static_cast<Cycles>(warmup) * mp.epochCycles);
-    machine.resetStats();
-    SfTracer tracer(1 << 18);
-    if (want_sf_trace)
-        machine.attachTracer(&tracer);
-    machine.run(static_cast<Cycles>(measure) * mp.epochCycles);
-
-    const SimMetrics m = machine.metricsSnapshot();
-    printHeader(title);
-    std::printf("%s\n",
-                headlineTable(
-                    m, mp.numCores,
-                    static_cast<unsigned>(machine.threads().size()),
-                    mp.coreFrequencyGHz)
-                    .render()
-                    .c_str());
-
-    if (want_compare && !is_baseline) {
-        const RunResult base = runOnce(cfg, TechniqueSpec{"Linux"});
-        const double dthr = percentChange(
-            base.instThroughput(),
-            m.instThroughput(mp.coreFrequencyGHz));
-        const double dapp = percentChange(
-            base.appPerformance(),
-            m.appEventsPerSecond(mp.coreFrequencyGHz));
+    printHeader(run_name + " on " + (bag ? *bag : benchmark));
+    std::printf("%s\n", headlineTable(r).render().c_str());
+    if (compare) {
+        const RunResult &base = results.at(baselineLabelFor("run", cfg));
         std::printf("vs Linux baseline: throughput %+0.1f%%, "
                     "app performance %+0.1f%%\n\n",
-                    dthr, dapp);
+                    percentChange(base.instThroughput(),
+                                  r.instThroughput()),
+                    percentChange(base.appPerformance(),
+                                  r.appPerformance()));
     }
 
-    if (want_stats || want_json) {
-        StatSet stats;
-        machine.exportStats(stats);
-        if (want_stats)
-            std::printf("%s\n", stats.dump().c_str());
-        if (want_json)
-            std::printf("%s", stats.dumpJson().c_str());
-    }
+    if (want_stats)
+        std::printf("%s\n", stats.dump().c_str());
+    if (want_json)
+        std::printf("%s", stats.dumpJson().c_str());
 
     if (want_viz) {
-        std::printf("%s\n",
-                    utilizationBars(m, mp.numCores).c_str());
-        if (const auto *st =
-                dynamic_cast<const SchedTaskScheduler *>(
-                    sched.get())) {
-            std::printf("allocation table:\n%s\n",
-                        allocationView(*st).c_str());
-        }
+        std::printf("%s\n", utilizationBars(r.metrics, r.numCores).c_str());
+        if (allocation)
+            std::printf("allocation table:\n%s\n", allocation->c_str());
     }
 
-    if (wants_trace_files) {
-        try {
-            if (trace_file) {
-                writeTextFile(*trace_file,
-                              chromeTraceJson(m.epochSamples,
-                                              mp.coreFrequencyGHz));
-                std::printf("chrome trace written to %s "
-                            "(open in ui.perfetto.dev)\n",
-                            trace_file->c_str());
-            }
-            if (trace_jsonl_file) {
-                writeTextFile(*trace_jsonl_file,
-                              epochTraceJsonl(m.epochSamples));
-                std::printf("epoch telemetry written to %s\n",
-                            trace_jsonl_file->c_str());
-            }
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "schedtask-sim: %s\n", e.what());
-            return 1;
+    try {
+        if (trace_file) {
+            writeTextFile(*trace_file,
+                          chromeTraceJson(r.metrics.epochSamples,
+                                          r.freqGhz));
+            std::printf("chrome trace written to %s "
+                        "(open in ui.perfetto.dev)\n",
+                        trace_file->c_str());
         }
+        if (trace_jsonl_file) {
+            writeTextFile(*trace_jsonl_file,
+                          epochTraceJsonl(r.metrics.epochSamples));
+            std::printf("epoch telemetry written to %s\n",
+                        trace_jsonl_file->c_str());
+        }
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "schedtask-sim: %s\n", e.what());
+        return 1;
     }
+    if (!trace_dir.empty())
+        std::printf("epoch traces written under %s/\n", trace_dir.c_str());
 
-    if (want_sf_trace) {
-        std::printf("%s\n",
-                    tracer
-                        .render(sf_trace_tid.value_or(invalidThread),
-                                60)
-                        .c_str());
-    }
+    if (tracer)
+        std::printf("%s\n", timeline.c_str());
     return 0;
 }
