@@ -24,11 +24,13 @@
 #include <string>
 #include <utility>
 
+#include "example_args.hh"
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
 #include "sched/registry.hh"
 #include "sched/scheduler.hh"
 #include "stats/table.hh"
+#include "workload/benchmarks.hh"
 
 using namespace schedtask;
 
@@ -93,7 +95,9 @@ registerTypeHash()
 int
 main(int argc, char **argv)
 {
-    const std::string bench = argc > 1 ? argv[1] : "Apache";
+    const std::string bench =
+        nameArg(argc, argv, 1, "Apache", BenchmarkSuite::benchmarkNames(),
+                "custom_scheduler [benchmark]");
 
     printHeader("Custom scheduler demo on " + bench
                 + " (2X workload)");

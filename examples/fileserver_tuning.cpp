@@ -12,17 +12,21 @@
 #include <cstdio>
 #include <string>
 
+#include "example_args.hh"
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
 #include "harness/sweep.hh"
 #include "stats/table.hh"
+#include "workload/benchmarks.hh"
 
 using namespace schedtask;
 
 int
 main(int argc, char **argv)
 {
-    const std::string bench = argc > 1 ? argv[1] : "FileSrv";
+    const std::string bench =
+        nameArg(argc, argv, 1, "FileSrv", BenchmarkSuite::benchmarkNames(),
+                "fileserver_tuning [benchmark]");
 
     printHeader("SchedTask tuning on " + bench + " (2X workload)");
 

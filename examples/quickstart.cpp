@@ -11,19 +11,29 @@
  */
 
 #include <cstdio>
+#include <optional>
 #include <string>
 
+#include "common/parse_num.hh"
+#include "example_args.hh"
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
 #include "stats/table.hh"
+#include "workload/benchmarks.hh"
 
 using namespace schedtask;
 
 int
 main(int argc, char **argv)
 {
-    const std::string benchmark = argc > 1 ? argv[1] : "Apache";
-    const double scale = argc > 2 ? std::stod(argv[2]) : 2.0;
+    const char *usage = "quickstart [benchmark] [scale > 0]";
+    const std::string benchmark = nameArg(
+        argc, argv, 1, "Apache", BenchmarkSuite::benchmarkNames(), usage);
+    const std::optional<double> scale_arg =
+        argc > 2 ? parseDouble(argv[2]) : 2.0;
+    if (!scale_arg || *scale_arg <= 0.0)
+        usageError(usage, std::string("bad scale '") + argv[2] + "'");
+    const double scale = *scale_arg;
 
     printHeader("SchedTask quickstart: " + benchmark + " @ "
                 + TextTable::num(scale, 1) + "X workload");

@@ -13,17 +13,21 @@
 #include <cstdio>
 #include <string>
 
+#include "example_args.hh"
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
 #include "harness/sweep.hh"
 #include "stats/table.hh"
+#include "workload/workload.hh"
 
 using namespace schedtask;
 
 int
 main(int argc, char **argv)
 {
-    const std::string bag = argc > 1 ? argv[1] : "MPW-B";
+    const std::string bag =
+        nameArg(argc, argv, 1, "MPW-B", Workload::bagNames(),
+                "server_consolidation [bag-name]");
 
     printHeader("Server consolidation: " + bag);
     std::printf("tenants:");

@@ -14,24 +14,25 @@
 #include <string>
 
 #include "common/parse_num.hh"
+#include "example_args.hh"
 #include "harness/reporting.hh"
 #include "harness/sweep.hh"
 #include "sim/machine.hh"
 #include "sim/sf_trace.hh"
+#include "workload/benchmarks.hh"
 
 using namespace schedtask;
 
 int
 main(int argc, char **argv)
 {
-    const std::string bench = argc > 1 ? argv[1] : "Apache";
+    const char *usage = "trace_inspection [benchmark] [tid]";
+    const std::string bench = nameArg(
+        argc, argv, 1, "Apache", BenchmarkSuite::benchmarkNames(), usage);
     const std::optional<std::uint64_t> tid_arg =
         argc > 2 ? parseUnsigned(argv[2]) : std::uint64_t{0};
-    if (!tid_arg || *tid_arg >= invalidThread) {
-        std::fprintf(stderr, "trace_inspection: bad thread id '%s'\n",
-                     argv[2]);
-        return 2;
-    }
+    if (!tid_arg || *tid_arg >= invalidThread)
+        usageError(usage, std::string("bad thread id '") + argv[2] + "'");
     const ThreadId tid = static_cast<ThreadId>(*tid_arg);
 
     printHeader("SuperFunction timeline (" + bench + ", thread "

@@ -184,6 +184,17 @@ TEST(LintSafe01, RejectsAtoiFamily)
     )lint"), "SAFE-01"));
 }
 
+TEST(LintSafe01, RejectsStdStoFamily)
+{
+    for (const char *fn : {"stoi", "stol", "stoll", "stoul", "stoull",
+                           "stof", "stod", "stold"}) {
+        const std::string src =
+            std::string("auto v = std::") + fn + "(argv[1]);\n";
+        EXPECT_TRUE(hasRule(lintSource("examples/foo.cpp", src), "SAFE-01"))
+            << fn;
+    }
+}
+
 TEST(LintSafe01, ExemptInParseNum)
 {
     EXPECT_TRUE(lintSource("src/common/parse_num.cc", R"lint(

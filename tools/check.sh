@@ -13,25 +13,15 @@
 #     tracing on; stdout and every trace file must be bitwise
 #     identical, proving the invariant checker is pure observation.
 #
-# With --bench, finishes with the perf gate (tools/perf_gate.sh) at
-# a generous threshold — a smoke check that the benchmark harness
-# runs and the simulator has not grossly slowed down, not a precise
-# measurement (use tools/perf_gate.sh directly for that).
+# Simulator speed is gated separately: tools/perf_gate.sh BASE_REV.
 #
-# Usage: tools/check.sh [--bench] [preset...]
+# Usage: tools/check.sh [preset...]
 
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 JOBS="${JOBS:-$(nproc)}"
-BENCH=0
-PRESETS=()
-for arg in "$@"; do
-    case "$arg" in
-        --bench) BENCH=1 ;;
-        *) PRESETS+=("$arg") ;;
-    esac
-done
+PRESETS=("$@")
 if [ ${#PRESETS[@]} -eq 0 ]; then
     PRESETS=(default asan-ubsan tsan checked)
 fi
@@ -100,19 +90,6 @@ if has_preset default && has_preset checked; then
     diff -r "$tmp/cli-default" "$tmp/cli-checked"
     echo "report and traces bitwise identical" \
          "(incl. L0 filter off and the CLI)"
-fi
-
-if [ "$BENCH" -eq 1 ]; then
-    step "perf gate smoke (generous threshold)"
-    PERF_GATE_THRESHOLD="${PERF_GATE_THRESHOLD:-50}" tools/perf_gate.sh
-    # Second leg with the L0 presence filter forced off: the exact
-    # memory-walk path must stay exercised (and not rot) even though
-    # the filtered path is the production default. The committed
-    # baseline was measured with the filter on, so only a very
-    # generous threshold applies.
-    step "perf gate smoke, L0 filter off (very generous threshold)"
-    SCHEDTASK_L0=off PERF_GATE_THRESHOLD="${PERF_GATE_L0_OFF_THRESHOLD:-120}" \
-        tools/perf_gate.sh
 fi
 
 step "all checks passed"

@@ -311,6 +311,10 @@ safe01Bad()
     static const std::set<std::string> kBad = {
         "atoi", "atof", "atol", "atoll", "strtol", "strtoul",
         "strtoll", "strtoull", "strtof", "strtod", "strtold",
+        // The std::sto* family throws on garbage instead, but it
+        // still reads "1.5abc" as 1.5.
+        "stoi", "stol", "stoll", "stoul", "stoull", "stof", "stod",
+        "stold",
     };
     return kBad;
 }

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -167,14 +168,22 @@ badValue(const char *flag, const char *text, const std::string &expected)
     std::exit(2);
 }
 
-/** Strictly parsed unsigned flag value; exits 2 on bad input. */
+/** Largest value of the `unsigned` fields the counting flags fill. */
+constexpr std::uint64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
+
+/**
+ * Strictly parsed unsigned flag value in [min, max]; exits 2 on bad
+ * input, so a value never wraps when it is narrowed to its field.
+ */
 std::uint64_t
-requireUnsigned(const char *flag, const char *text, std::uint64_t min)
+requireUnsigned(const char *flag, const char *text, std::uint64_t min,
+                std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
     const std::optional<std::uint64_t> value = parseUnsigned(text);
-    if (!value || *value < min)
+    if (!value || *value < min || *value > max)
         badValue(flag, text,
-                 "an unsigned integer >= " + std::to_string(min));
+                 "an unsigned integer in [" + std::to_string(min) + ", "
+                     + std::to_string(max) + "]");
     return *value;
 }
 
@@ -254,15 +263,15 @@ main(int argc, char **argv)
             listTechniques();
         } else if (arg == "--cores") {
             cfg.baselineCores = static_cast<unsigned>(
-                requireUnsigned("--cores", next(), 1));
+                requireUnsigned("--cores", next(), 1, kMaxUnsigned));
         } else if (arg == "--scale") {
             scale = requirePositiveDouble("--scale", next());
         } else if (arg == "--warmup") {
             cfg.warmupEpochs = static_cast<unsigned>(
-                requireUnsigned("--warmup", next(), 0));
+                requireUnsigned("--warmup", next(), 0, kMaxUnsigned));
         } else if (arg == "--measure") {
             cfg.measureEpochs = static_cast<unsigned>(
-                requireUnsigned("--measure", next(), 1));
+                requireUnsigned("--measure", next(), 1, kMaxUnsigned));
         } else if (arg == "--fast") {
             cfg.withEpochs(1, 2);
         } else if (arg == "--heatmap-bits") {
@@ -276,7 +285,7 @@ main(int argc, char **argv)
             cfg.machine.seed = requireUnsigned("--seed", next(), 0);
         } else if (arg == "--jobs") {
             jobs = static_cast<unsigned>(
-                requireUnsigned("--jobs", next(), 1));
+                requireUnsigned("--jobs", next(), 1, kMaxUnsigned));
         } else if (arg == "--stats") {
             want_stats = true;
         } else if (arg == "--json") {
@@ -297,7 +306,8 @@ main(int argc, char **argv)
             tracer.emplace(1 << 18);
             if (i + 1 < argc && argv[i + 1][0] != '-')
                 sf_trace_tid = static_cast<ThreadId>(
-                    requireUnsigned("--sf-trace", argv[++i], 0));
+                    requireUnsigned("--sf-trace", argv[++i], 0,
+                                    invalidThread - 1));
         } else {
             std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
             usage(2);
